@@ -196,29 +196,6 @@ func BenchmarkExhaustiveSearch16KBPruned(b *testing.B) {
 	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
 }
 
-// BenchmarkAblationGreedyVsExhaustive compares the greedy coordinate-descent
-// searcher against the exhaustive optimum on the 4 KB HVT-M2 case.
-// Reported metrics: greedy/exhaustive EDP ratio and evaluation counts.
-func BenchmarkAblationGreedyVsExhaustive(b *testing.B) {
-	fw := benchFramework(b)
-	opts := core.Options{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: core.M2}
-	var ratio, gEvals float64
-	for i := 0; i < b.N; i++ {
-		full, err := fw.Core().Optimize(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		greedy, err := fw.Core().GreedyOptimize(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = greedy.Best.Result.EDP / full.Best.Result.EDP
-		gEvals = float64(greedy.Evaluated)
-	}
-	b.ReportMetric(ratio, "greedy/exhaustive-EDP")
-	b.ReportMetric(gEvals, "greedy-evals")
-}
-
 // BenchmarkAblationEnergyAccounting re-runs the 16 KB headline comparison
 // under the all-columns energy interpretation (DESIGN.md note 1),
 // confirming the conclusion is not an artifact of the default accounting.

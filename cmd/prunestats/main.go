@@ -3,7 +3,7 @@
 // the search evaluated, how many the lower bound pruned, how many each
 // constraint skipped, and the resulting bound efficiency. Run it when
 // touching the bound (internal/array/bound.go) or the searcher
-// (internal/core/bnb.go) — a correctness-preserving change that loosens the
+// (internal/core/driver.go) — a correctness-preserving change that loosens the
 // bound shows up here as an efficiency drop long before it shows up as a
 // latency regression.
 //

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -88,15 +89,14 @@ func TestWeightedPickRespectsZeroWeights(t *testing.T) {
 // warmup traffic must be excluded, mixed outcomes must be counted, and the
 // report arithmetic must hold together.
 func TestRunLoadAgainstStub(t *testing.T) {
-	var n int
+	var n atomic.Int64 // the handlers run concurrently
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/optimize", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{}`))
 	})
 	mux.HandleFunc("/v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
 		// Every third evaluate fails, so the error accounting is exercised.
-		n++
-		if n%3 == 0 {
+		if n.Add(1)%3 == 0 {
 			http.Error(w, `{"error":{}}`, http.StatusInternalServerError)
 			return
 		}

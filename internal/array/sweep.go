@@ -164,185 +164,3 @@ func (e *Evaluator) EvalSweep(npre, nwrLo, nwrHi int, out *SweepBlock) error {
 	}
 	return nil
 }
-
-// EvalNext advances res from its current point (N_pre, N_wr) to
-// (N_pre, N_wr+1) in place: adjacent points of the inner N_wr sweep share
-// everything except the bitline/column capacitance and write-buffer drain
-// terms, so only those components and the Eq. (2)-(5) totals are
-// recomputed — the chunk-invariant Parts fields, the design rails and the
-// feasibility flag survive from the previous point untouched. res must have
-// been produced by EvalInto, EvalBlock or EvalNext on the same prepared
-// chunk. Bit-identical (==) to a fresh EvalInto of (N_pre, N_wr+1).
-func (e *Evaluator) EvalNext(res *Result) error {
-	if !e.prepared {
-		return fmt.Errorf("array: Eval before a successful Prepare")
-	}
-	d := &res.Design
-	if d.Geom.NR != e.nr || d.Geom.NC != e.nc || d.Geom.W != e.w || d.Geom.WLSegs != e.segs ||
-		d.Geom.Mux != e.mux || d.Groups != e.hGroups || d.GroupMask != e.hMask ||
-		d.VDDC != e.vddc || d.VSSC != e.vssc || d.VWL != e.vwl {
-		return fmt.Errorf("array: EvalNext on a Result from a different chunk")
-	}
-	npre, nwr := d.Geom.Npre, d.Geom.Nwr+1
-	if npre < 1 || nwr < 2 {
-		return fmt.Errorf("array: EvalNext on an unevaluated Result (N_pre=%d, N_wr=%d)", npre, nwr-1)
-	}
-	mEvals.Inc()
-	b := &res.Parts
-	fnwr := float64(nwr)
-
-	blBase := e.blFixed + float64(npre+1)*e.cdp
-	var cBL, cCOL float64
-	if e.muxed {
-		cBL = blBase + 2*fnwr*e.sumCd + e.blMuxCd
-		cCOL = e.colBase + e.colW*fnwr*e.sumCg
-	} else {
-		cBL = blBase + fnwr*e.sumCd + e.cdp + e.blMuxCd
-	}
-
-	b.DCOL, b.ECOL = component(cCOL, e.vdd, e.vdd, e.iCol)
-	b.DBLRead, b.EBLRead = component(cBL, e.dvBLRd, e.deltaVS, e.iRead)
-	if e.hGroups > 1 {
-		b.DBLRead = e.hybridBLDelay(cBL)
-	}
-	b.DBLWrite, b.EBLWrite = component(cBL, e.vdd, e.vdd, coefBLwr*fnwr*e.iTG)
-	iPre := coefPRE * float64(npre) * e.ionP
-	b.DPreRead, b.EPreRead = component(cBL, e.vdd, e.deltaVS, iPre)
-	b.DPreWrite, b.EPreWrite = component(cBL, e.vdd, e.vdd, iPre)
-
-	readRow := e.dReadRow + b.DBLRead
-	readCol := e.dColBase + b.DCOL
-	dRead := math.Max(readRow, readCol) + b.DSenseAmp + b.DPreRead + e.dMuxExtra
-	writeCol := e.dColBase + b.DCOL + b.DBLWrite
-	dWrite := math.Max(e.dWriteRow, writeCol) + b.DWriteCell + b.DPreWrite
-
-	preWrE := b.EPreWrite
-	if e.allCols {
-		preWrE = e.wMult*b.EPreWrite + e.acMinusW*b.EPreRead
-	}
-	eRead := e.eReadBase + e.blRdMult*b.EBLRead +
-		b.EColDec + b.EColDrv + b.ECOL +
-		e.saE + e.preRdMult*b.EPreRead +
-		e.railE + e.eMuxExtra
-	eWrite := e.eWriteBase + b.ECOL +
-		e.wrMult*b.EBLWrite + e.wrCellE + preWrE
-
-	dArray := math.Max(dRead, dWrite)
-	eSw := e.beta*eRead + e.oneMinusBeta*eWrite
-	eLeak := e.leakCoef * dArray
-
-	d.Geom.Nwr = nwr
-	res.DRead, res.DWrite, res.DArray = dRead, dWrite, dArray
-	res.ESwRead, res.ESwWrite, res.ESw = eRead, eWrite, eSw
-	res.ELeak = eLeak
-	res.EArray = e.alpha*eSw + eLeak
-	res.EDP = res.EArray * dArray
-	res.Area = (e.area0 + float64(npre)*e.areaPre) + float64(nwr)*e.areaWr
-	res.PADP = res.EDP * res.Area
-	return nil
-}
-
-// EvalBlock evaluates the batch of points (npres[i], nwrs[i]) into out[i],
-// bit-identical (==) to calling EvalInto per point. The per-call validation
-// and evaluation counting are amortized over the block, and the row terms
-// (precharge current, bitline base) are recomputed only when npres[i]
-// changes, so callers batching 4-8 points of one N_pre row pay them once.
-func (e *Evaluator) EvalBlock(npres, nwrs []int, out []Result) error {
-	if !e.prepared {
-		return fmt.Errorf("array: Eval before a successful Prepare")
-	}
-	if len(npres) != len(nwrs) || len(npres) > len(out) {
-		return fmt.Errorf("array: EvalBlock: mismatched block lengths (%d npre, %d nwr, %d out)",
-			len(npres), len(nwrs), len(out))
-	}
-	if len(npres) == 0 {
-		return nil
-	}
-	for _, np := range npres {
-		if np < 1 {
-			return fmt.Errorf("wire: N_pre = %d must be ≥ 1", np)
-		}
-	}
-	for _, nw := range nwrs {
-		if nw < 1 {
-			return fmt.Errorf("wire: N_wr = %d must be ≥ 1", nw)
-		}
-	}
-	mEvals.Add(int64(len(npres)))
-
-	g := e.geom
-	lastNpre := -1
-	var blBase, iPre, areaRow float64
-	for i := range npres {
-		npre, nwr := npres[i], nwrs[i]
-		if npre != lastNpre {
-			blBase = e.blFixed + float64(npre+1)*e.cdp
-			iPre = coefPRE * float64(npre) * e.ionP
-			areaRow = e.area0 + float64(npre)*e.areaPre
-			lastNpre = npre
-		}
-		b := e.parts
-		fnwr := float64(nwr)
-		var cBL, cCOL float64
-		if e.muxed {
-			cBL = blBase + 2*fnwr*e.sumCd + e.blMuxCd
-			cCOL = e.colBase + e.colW*fnwr*e.sumCg
-		} else {
-			cBL = blBase + fnwr*e.sumCd + e.cdp + e.blMuxCd
-		}
-
-		b.DCOL, b.ECOL = component(cCOL, e.vdd, e.vdd, e.iCol)
-		b.DBLRead, b.EBLRead = component(cBL, e.dvBLRd, e.deltaVS, e.iRead)
-		if e.hGroups > 1 {
-			b.DBLRead = e.hybridBLDelay(cBL)
-		}
-		b.DBLWrite, b.EBLWrite = component(cBL, e.vdd, e.vdd, coefBLwr*fnwr*e.iTG)
-		b.DPreRead, b.EPreRead = component(cBL, e.vdd, e.deltaVS, iPre)
-		b.DPreWrite, b.EPreWrite = component(cBL, e.vdd, e.vdd, iPre)
-
-		readRow := e.dReadRow + b.DBLRead
-		readCol := e.dColBase + b.DCOL
-		dRead := math.Max(readRow, readCol) + b.DSenseAmp + b.DPreRead + e.dMuxExtra
-		writeCol := e.dColBase + b.DCOL + b.DBLWrite
-		dWrite := math.Max(e.dWriteRow, writeCol) + b.DWriteCell + b.DPreWrite
-
-		preWrE := b.EPreWrite
-		if e.allCols {
-			preWrE = e.wMult*b.EPreWrite + e.acMinusW*b.EPreRead
-		}
-		eRead := e.eReadBase + e.blRdMult*b.EBLRead +
-			b.EColDec + b.EColDrv + b.ECOL +
-			e.saE + e.preRdMult*b.EPreRead +
-			e.railE + e.eMuxExtra
-		eWrite := e.eWriteBase + b.ECOL +
-			e.wrMult*b.EBLWrite + e.wrCellE + preWrE
-
-		dArray := math.Max(dRead, dWrite)
-		eSw := e.beta*eRead + e.oneMinusBeta*eWrite
-		eLeak := e.leakCoef * dArray
-		eArray := e.alpha*eSw + eLeak
-		edp := eArray * dArray
-		area := areaRow + fnwr*e.areaWr
-
-		g.Npre, g.Nwr = npre, nwr
-		out[i] = Result{
-			Design: Design{Geom: g, VDDC: e.vddc, VSSC: e.vssc, VWL: e.vwl,
-				Groups: e.hGroups, GroupMask: e.hMask},
-			Activity:          e.act,
-			DRead:             dRead,
-			DWrite:            dWrite,
-			DArray:            dArray,
-			ESwRead:           eRead,
-			ESwWrite:          eWrite,
-			ESw:               eSw,
-			ELeak:             eLeak,
-			EArray:            eArray,
-			EDP:               edp,
-			Area:              area,
-			PADP:              edp * area,
-			RailsSettleInTime: e.settles,
-			Parts:             b,
-		}
-	}
-	return nil
-}

@@ -264,9 +264,10 @@ func TestHybridNeverWorseThanPure(t *testing.T) {
 	}
 }
 
-// TestHybridRejectsUnsupportedModes pins the guard rails: greedy search and
-// sensitivity analysis evaluate under a single-flavor cell model and must
-// refuse hybrid inputs instead of silently mis-evaluating them.
+// TestHybridRejectsUnsupportedModes pins the guard rails: malformed group
+// counts are rejected, and sensitivity analysis — which evaluates under a
+// single-flavor cell model — must refuse hybrid inputs instead of silently
+// mis-evaluating them.
 func TestHybridRejectsUnsupportedModes(t *testing.T) {
 	f := paperFramework(t)
 	if _, err := f.Optimize(Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 3}); err == nil {
@@ -274,9 +275,6 @@ func TestHybridRejectsUnsupportedModes(t *testing.T) {
 	}
 	if _, err := f.Optimize(Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 16}); err == nil {
 		t.Error("HybridGroups=16 (> array.MaxGroups) accepted")
-	}
-	if _, err := f.GreedyOptimize(Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 2}); err == nil {
-		t.Error("greedy search accepted a hybrid configuration")
 	}
 	opt, err := f.Optimize(Options{CapacityBits: 1024, Flavor: device.LVT, Method: M2, HybridGroups: 2})
 	if err != nil {

@@ -6,12 +6,9 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"time"
 
 	"sramco/internal/array"
 	"sramco/internal/device"
-	"sramco/internal/obs"
-	"sramco/internal/wire"
 )
 
 // Method selects the rail-count restriction of §5.
@@ -149,28 +146,23 @@ type Options struct {
 	// characterized flavors is searched, Options.Flavor acting as the base
 	// flavor of the all-clear mask. Must be 0 (off), 1 (explicitly the
 	// single global flavor, identical to 0) or a power of two ≤
-	// array.MaxGroups. Only the exhaustive searcher supports it.
+	// array.MaxGroups.
 	HybridGroups int
 
 	// SearchWLSegs additionally searches divided-wordline segmentation
 	// (1/2/4/8 segments) — an architecture extension beyond the paper's
 	// flat wordline. Most effective under the AllColumns energy
 	// accounting, where segmentation cuts the per-access bitline disturb.
-	// Both the exhaustive and the greedy searcher honor it.
 	SearchWLSegs bool
 
 	// DisableBounds turns off the branch-and-bound rectangle pruning of the
-	// exhaustive searchers, forcing a full enumeration of the candidate
-	// space. The optimum, Pareto front and infeasibility outcomes are
-	// bit-identical either way (the parity tests enforce it) — only
-	// SearchStats.Evaluated/PrunedBound and the wall time change. Pruning is
-	// also disabled automatically for custom Objective functions (no lower
-	// bound is known for them) and when an evalHook is injected.
+	// searchers, forcing a full enumeration of the candidate space. The
+	// optimum, Pareto front and infeasibility outcomes are bit-identical
+	// either way (the parity tests enforce it) — only the SearchStats
+	// Evaluated/PrunedBound/SkippedRails split and the wall time change.
+	// Optimize also disables pruning automatically for custom Objective
+	// functions (no lower bound is known for them).
 	DisableBounds bool
-
-	// evalHook replaces array.Evaluate in tests (error injection,
-	// search-space tracing). nil selects the real model.
-	evalHook evalFunc
 }
 
 func (o *Options) normalize() error {
@@ -254,196 +246,4 @@ func (f *Framework) Rails(flavor device.Flavor, m Method) (vddc, vwl float64, er
 // the sharding and determinism guarantees.
 func (f *Framework) Optimize(opts Options) (*Optimum, error) {
 	return f.OptimizeContext(context.Background(), opts)
-}
-
-// GreedyOptimize is the coordinate-descent ablation searcher without
-// cancellation; see GreedyOptimizeContext.
-func (f *Framework) GreedyOptimize(opts Options) (*Optimum, error) {
-	return f.GreedyOptimizeContext(context.Background(), opts)
-}
-
-// GreedyOptimizeContext is the coordinate-descent ablation searcher:
-// starting from a balanced square-ish organization with minimum fins and no
-// negative Gnd, it repeatedly sweeps one variable at a time (n_r, V_SSC,
-// wordline segmentation when enabled, N_pre, N_wr) keeping the others fixed,
-// until no single-variable move improves the objective. It typically needs
-// orders of magnitude fewer evaluations than the exhaustive search but may
-// land in a local minimum.
-//
-// A model-evaluation error aborts the search and is propagated (wrapped in a
-// *SearchError carrying the counts so far), as is a ctx cancellation;
-// infeasible points are merely skipped.
-func (f *Framework) GreedyOptimizeContext(ctx context.Context, opts Options) (*Optimum, error) {
-	start := time.Now()
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
-	if opts.hybridOn() {
-		return nil, fmt.Errorf("core: greedy search does not support hybrid groups (HybridGroups=%d)", opts.HybridGroups)
-	}
-	tech, err := f.ArrayTech(opts.Flavor)
-	if err != nil {
-		return nil, err
-	}
-	cc := f.Cells[opts.Flavor]
-	vddc, vwl, err := f.Rails(opts.Flavor, opts.Method)
-	if err != nil {
-		return nil, err
-	}
-	eval := opts.evalHook
-	// Without a test hook, coordinate descent uses the chunk-amortized
-	// Evaluator: the N_pre and N_wr sweeps revisit one (geometry, rails)
-	// chunk, so Prepare memo-hits and each step costs only the per-point
-	// terms.
-	var ev *array.Evaluator
-	if eval == nil {
-		ev, err = array.NewEvaluator(tech, opts.Activity)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	mSearchRuns.Inc()
-	sp := obs.StartSpanCtx(ctx, "core.search.greedy")
-	sp.Int("capacity_bits", int64(opts.CapacityBits))
-	sp.Str("method", opts.Method.String())
-
-	var stats SearchStats
-	// evalAt returns (nil, nil) for points outside the space or failing a
-	// constraint, and a non-nil error only for cancellation or a genuine
-	// model failure — which must surface, not masquerade as infeasibility.
-	evalAt := func(nrI int, vssc float64, segs, npre, nwr int) (*array.Result, error) {
-		if ctx.Err() != nil {
-			return nil, context.Cause(ctx)
-		}
-		if nrI < 2 || nrI > opts.Space.NRMax || opts.CapacityBits%nrI != 0 {
-			return nil, nil
-		}
-		nc := opts.CapacityBits / nrI
-		if nc < 1 || nc > opts.Space.NCMax {
-			return nil, nil
-		}
-		width := accessWidth(opts.W, nc)
-		if segs > 1 && nc/segs < width {
-			return nil, nil
-		}
-		if cc.RSNMAt(vssc) < f.Delta-1e-9 {
-			stats.SkippedRSNM++
-			return nil, nil
-		}
-		d := array.Design{
-			Geom: wire.Geometry{NR: nrI, NC: nc, W: width, Npre: npre, Nwr: nwr, WLSegs: segs},
-			VDDC: vddc, VSSC: vssc, VWL: vwl,
-		}
-		if d.Geom.Validate() != nil {
-			stats.SkippedGeom++
-			return nil, nil
-		}
-		var r *array.Result
-		var evalErr error
-		if ev != nil {
-			if evalErr = ev.Prepare(d.Geom, d.VDDC, d.VSSC, d.VWL); evalErr == nil {
-				r, evalErr = ev.Eval(d.Geom.Npre, d.Geom.Nwr)
-			}
-		} else {
-			r, evalErr = eval(tech, d, opts.Activity)
-		}
-		if evalErr != nil {
-			return nil, fmt.Errorf("core: greedy evaluating n_r=%d N_pre=%d N_wr=%d VSSC=%g: %w", nrI, npre, nwr, vssc, evalErr)
-		}
-		stats.Evaluated++
-		mSearchEvaluated.Inc()
-		if !r.RailsSettleInTime {
-			stats.SkippedRails++
-			return nil, nil
-		}
-		return r, nil
-	}
-
-	// Start: square-ish organization, flat wordline, no assists beyond the
-	// pinned rails.
-	nr := 2
-	for nr*nr < opts.CapacityBits && nr < opts.Space.NRMax {
-		nr *= 2
-	}
-	vssc, segs, npre, nwr := 0.0, 1, 1, 1
-	var bestR *array.Result
-	var bestD array.Design
-	bestObj := math.Inf(1)
-	improve := func(r *array.Result, nrI int, vs float64, sg, np, nw int) bool {
-		if r == nil {
-			return false
-		}
-		if v := opts.Objective(r); v < bestObj {
-			bestObj = v
-			bestR = r
-			bestD = r.Design
-			nr, vssc, segs, npre, nwr = nrI, vs, sg, np, nw
-			return true
-		}
-		return false
-	}
-	r, err := evalAt(nr, vssc, segs, npre, nwr)
-	if err != nil {
-		return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-	}
-	improve(r, nr, vssc, segs, npre, nwr)
-	for pass := 0; pass < 20; pass++ {
-		changed := false
-		for cand := 2; cand <= opts.Space.NRMax; cand *= 2 {
-			r, err := evalAt(cand, vssc, segs, npre, nwr)
-			if err != nil {
-				return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-			}
-			changed = improve(r, cand, vssc, segs, npre, nwr) || changed
-		}
-		// The shared index-based candidate helper keeps the greedy sweep on
-		// exactly the levels the exhaustive search visits (a lone zero level
-		// under M1) — no accumulated float drift, no divergent copies.
-		for _, v := range vsscCandidates(opts.Method, opts.Space) {
-			r, err := evalAt(nr, v, segs, npre, nwr)
-			if err != nil {
-				return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-			}
-			changed = improve(r, nr, v, segs, npre, nwr) || changed
-		}
-		if opts.SearchWLSegs {
-			for sg := 1; sg <= 8; sg *= 2 {
-				r, err := evalAt(nr, vssc, sg, npre, nwr)
-				if err != nil {
-					return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-				}
-				changed = improve(r, nr, vssc, sg, npre, nwr) || changed
-			}
-		}
-		for np := 1; np <= opts.Space.NpreMax; np++ {
-			r, err := evalAt(nr, vssc, segs, np, nwr)
-			if err != nil {
-				return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-			}
-			changed = improve(r, nr, vssc, segs, np, nwr) || changed
-		}
-		for nw := 1; nw <= opts.Space.NwrMax; nw++ {
-			r, err := evalAt(nr, vssc, segs, npre, nw)
-			if err != nil {
-				return nil, &SearchError{Stats: finishStats(stats, start, 1), Cause: err}
-			}
-			changed = improve(r, nr, vssc, segs, npre, nw) || changed
-		}
-		if !changed {
-			break
-		}
-	}
-	stats = finishStats(stats, start, 1)
-	sp.Int("evaluated", int64(stats.Evaluated))
-	sp.End()
-	if bestR == nil {
-		return nil, fmt.Errorf("core: greedy search: %w for %d bits", ErrInfeasible, opts.CapacityBits)
-	}
-	return &Optimum{
-		Best:      DesignPoint{Design: bestD, Result: bestR},
-		Evaluated: stats.Evaluated,
-		Skipped:   stats.SkippedTotal(),
-		Stats:     stats,
-	}, nil
 }

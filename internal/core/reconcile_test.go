@@ -1,11 +1,10 @@
 package core
 
 import (
-	"context"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"sramco/internal/array"
@@ -13,28 +12,21 @@ import (
 	"sramco/internal/obs"
 )
 
-// pruningFramework returns a shallow copy of the paper framework whose HVT
-// cell fails read stability below cutoff — TechPaper's RSNMAt is the
-// constant δ (the starred rails are chosen to meet it), so pruning tests
-// need an explicit cliff.
+// pruningFramework returns a copy of the paper framework whose HVT cell
+// fails read stability below cutoff — TechPaper's RSNMAt is the constant δ
+// (the starred rails are chosen to meet it), so pruning tests need an
+// explicit cliff.
 func pruningFramework(t *testing.T, cutoff float64) *Framework {
 	t.Helper()
-	base := paperFramework(t)
-	f := *base
-	f.Cells = make(map[device.Flavor]*CellChar, len(base.Cells))
-	for k, v := range base.Cells {
-		cc := *v
-		f.Cells[k] = &cc
-	}
-	hvt := f.Cells[device.HVT]
-	delta := base.Delta
-	hvt.RSNMAt = func(vssc float64) float64 {
+	f := cloneFramework(t)
+	delta := f.Delta
+	f.Cells[device.HVT].RSNMAt = func(vssc float64) float64 {
 		if vssc < cutoff {
 			return 0
 		}
 		return delta
 	}
-	return &f
+	return f
 }
 
 // TestSkippedRSNMReconcilesWithValidatedSpace covers the up-front pruning
@@ -149,37 +141,6 @@ func TestVSSCCandidatesAreExactLiterals(t *testing.T) {
 	}
 }
 
-// TestGreedySweepsSameVSSCLevelsAsExhaustive pins the searcher-parity fix:
-// the greedy searcher used to run its own accumulating sweep loop and could
-// land on drifted levels the exhaustive search never visits. Both now share
-// vsscCandidates, so a greedy optimum's VSSC is bit-equal (==) to one of
-// the shared candidates.
-func TestGreedySweepsSameVSSCLevelsAsExhaustive(t *testing.T) {
-	f := paperFramework(t)
-	opts := Options{
-		CapacityBits: 4096,
-		Flavor:       device.HVT,
-		Method:       M2,
-		Space:        SearchSpace{VSSCMin: -0.07, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 6, NwrMax: 4},
-	}
-	opt, err := f.GreedyOptimize(opts)
-	if err != nil {
-		t.Fatalf("GreedyOptimize: %v", err)
-	}
-	levels := vsscCandidates(opts.Method, opts.Space)
-	found := false
-	for _, v := range levels {
-		if opt.Best.Design.VSSC == v {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Errorf("greedy VSSC %x not among the shared candidates %v",
-			math.Float64bits(opt.Best.Design.VSSC), levels)
-	}
-}
-
 // TestParetoStatsAndTraceReconcile covers the searcher-parity satellite for
 // the Pareto sweep: it must report the same SearchStats scheme as Optimize
 // and emit the core.search instrumentation (run span core.search.pareto,
@@ -266,65 +227,77 @@ func TestParetoStatsAndTraceReconcile(t *testing.T) {
 
 // TestParetoHonorsSearchWLSegs covers the parity gap where the Pareto sweep
 // silently ignored Options.SearchWLSegs: with segmentation enabled it must
-// enumerate the same divided-wordline candidates as Optimize (observed
-// through the evalHook seam), and the hook-free Evaluator fast path must
-// agree with the hooked sweep point for point.
+// enumerate the divided-wordline candidates — visible in the stats as the
+// wider space and in the front as segmented members — the bounded sweep must
+// return the same front, and every front member must equal the point
+// reference array.Evaluate of its design. Segmentation pays off under the
+// all-columns energy accounting, where it cuts the per-access bitline
+// disturb, so the front is computed under that accounting.
 func TestParetoHonorsSearchWLSegs(t *testing.T) {
-	f := paperFramework(t)
+	f := cloneFramework(t)
+	f.Accounting = array.AllColumns
 	opts := Options{
-		CapacityBits: 8192,
-		Flavor:       device.HVT,
-		Method:       M1,
-		Space:        SearchSpace{VSSCMin: -0.01, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 3, NwrMax: 2},
+		CapacityBits:  8192,
+		Flavor:        device.HVT,
+		Method:        M1,
+		Space:         SearchSpace{VSSCMin: -0.01, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 3, NwrMax: 2},
+		DisableBounds: true,
 	}
 	flat, err := f.ParetoSearch(opts)
 	if err != nil {
 		t.Fatalf("flat ParetoSearch: %v", err)
 	}
-
 	segOpts := opts
 	segOpts.SearchWLSegs = true
-	var mu sync.Mutex
-	segSeen := make(map[int]bool)
-	segOpts.evalHook = func(tech *array.Tech, d array.Design, act array.Activity) (*array.Result, error) {
-		mu.Lock()
-		segSeen[d.Geom.Segments()] = true
-		mu.Unlock()
-		return array.Evaluate(tech, d, act)
-	}
-	hooked, err := f.ParetoSearchContext(context.Background(), segOpts)
+	full, err := f.ParetoSearch(segOpts)
 	if err != nil {
 		t.Fatalf("segmented ParetoSearch: %v", err)
 	}
-	for _, s := range []int{1, 2, 4, 8} {
-		if !segSeen[s] {
-			t.Errorf("segmentation %d never evaluated", s)
+	// One VSSC level (M1); with W = 64 the organizations nc = 1024, 512, 256
+	// and 128 admit 3 + 3 + 2 + 1 segmented variants, each NpreMax×NwrMax
+	// points wide.
+	if got, want := full.Stats.Evaluated-flat.Stats.Evaluated, 9*3*2; got != want {
+		t.Errorf("SearchWLSegs widened the sweep by %d points, want %d", got, want)
+	}
+	segmented := 0
+	for _, p := range flat.Front {
+		if p.Design.Geom.Segments() != 1 {
+			t.Errorf("flat front holds a %d-segment design", p.Design.Geom.Segments())
 		}
 	}
-	if hooked.Stats.Evaluated <= flat.Stats.Evaluated {
-		t.Errorf("SearchWLSegs did not widen the sweep: %d vs %d evaluations",
-			hooked.Stats.Evaluated, flat.Stats.Evaluated)
+	for _, p := range full.Front {
+		if p.Design.Geom.Segments() > 1 {
+			segmented++
+		}
+	}
+	if segmented == 0 {
+		t.Error("no divided-wordline design on the segmented front")
 	}
 
-	// The hook-free fast path must agree with the hooked sweep exactly.
-	// Bounds stay disabled so both runs enumerate the full space and the
-	// evaluation counts — not just the frontiers — can be compared 1:1.
-	segOpts.evalHook = nil
-	segOpts.DisableBounds = true
-	fast, err := f.ParetoSearch(segOpts)
+	segOpts.DisableBounds = false
+	pruned, err := f.ParetoSearch(segOpts)
 	if err != nil {
-		t.Fatalf("fast segmented ParetoSearch: %v", err)
+		t.Fatalf("bounded segmented ParetoSearch: %v", err)
 	}
-	if fast.Stats.Evaluated != hooked.Stats.Evaluated {
-		t.Errorf("fast path evaluated %d points, hook path %d", fast.Stats.Evaluated, hooked.Stats.Evaluated)
+	if !reflect.DeepEqual(pruned.Front, full.Front) {
+		t.Errorf("bounded front (%d points) diverges from full enumeration (%d points)", len(pruned.Front), len(full.Front))
 	}
-	if len(fast.Front) != len(hooked.Front) {
-		t.Fatalf("fast front has %d points, hook front %d", len(fast.Front), len(hooked.Front))
+	if got := pruned.Stats.Evaluated + pruned.Stats.PrunedBound; got != full.Stats.Evaluated {
+		t.Errorf("bounded space %d does not reconcile with full enumeration %d", got, full.Stats.Evaluated)
 	}
-	for i := range fast.Front {
-		if fast.Front[i].Design != hooked.Front[i].Design ||
-			fast.Front[i].Result.EDP != hooked.Front[i].Result.EDP {
-			t.Fatalf("frontier point %d diverges between fast and hook paths", i)
+
+	tech, err := f.ArrayTech(device.HVT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := array.Activity{Alpha: DefaultAlpha, Beta: DefaultBeta}
+	for i, p := range full.Front {
+		ref, err := array.Evaluate(tech, p.Design, act)
+		if err != nil {
+			t.Fatalf("front point %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(ref, p.Result) {
+			t.Fatalf("front point %d diverges from array.Evaluate:\nsearch %+v\nref    %+v", i, p.Result, ref)
 		}
 	}
 }

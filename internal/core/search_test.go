@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -135,46 +136,66 @@ func TestBetterPointTotalOrder(t *testing.T) {
 	}
 }
 
-// TestOptimizeErrorCancelsWithAccurateCounts injects a model error mid-search
-// and checks the search aborts with the causal error and with Evaluated
-// equal to the number of evaluations that actually succeeded — including
-// those of workers that were cancelled rather than erroring themselves.
+// cloneFramework returns a copy of the paper framework whose cell
+// characterizations can be edited without touching the shared one: the
+// searchers read every model input through the Framework, so tests inject
+// faults and infeasibility by editing a copy's inputs.
+func cloneFramework(t *testing.T) *Framework {
+	t.Helper()
+	base := paperFramework(t)
+	f := *base
+	f.Cells = make(map[device.Flavor]*CellChar, len(base.Cells))
+	for k, v := range base.Cells {
+		cc := *v
+		f.Cells[k] = &cc
+	}
+	return &f
+}
+
+// TestOptimizeErrorCancelsWithAccurateCounts cancels the search from inside
+// the sweep and checks it aborts with the cause and with counts that match
+// the work actually done — including that of workers that were canceled
+// rather than canceling themselves. A custom objective runs on every
+// rail-feasible evaluated point (it disables pruning), so every evaluation
+// is either an objective call or a rail skip.
 func TestOptimizeErrorCancelsWithAccurateCounts(t *testing.T) {
 	f := paperFramework(t)
-	sentinel := errors.New("injected model failure")
-	var calls, successes atomic.Int64
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
 	opts := Options{
 		CapacityBits: 4 * 1024 * 8,
 		Flavor:       device.HVT,
 		Method:       M2,
 		Space:        SearchSpace{VSSCMin: -0.240, VSSCStep: 0.010, NRMax: 1024, NCMax: 1024, NpreMax: 10, NwrMax: 10},
-		evalHook: func(tech *array.Tech, d array.Design, act array.Activity) (*array.Result, error) {
-			if calls.Add(1) > 50 {
-				return nil, sentinel
+		Objective: func(r *array.Result) float64 {
+			if calls.Add(1) == 50 {
+				cancel()
 			}
-			r, err := array.Evaluate(tech, d, act)
-			if err == nil {
-				successes.Add(1)
-			}
-			return r, err
+			return r.EDP
 		},
 	}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	_, err := f.Optimize(opts)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Optimize error = %v, want the injected sentinel", err)
+	_, err := f.OptimizeContext(ctx, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Optimize error = %v, want context.Canceled", err)
 	}
 	var serr *SearchError
 	if !errors.As(err, &serr) {
 		t.Fatalf("Optimize error %T does not carry SearchStats", err)
 	}
-	if got, want := serr.Stats.Evaluated, int(successes.Load()); got != want {
-		t.Errorf("aborted search reports %d evaluations, %d actually succeeded", got, want)
+	st := serr.Stats
+	if got, want := st.Evaluated, int(calls.Load())+st.SkippedRails; got != want {
+		t.Errorf("aborted search reports %d evaluations, want %d objective calls + %d rail skips = %d",
+			got, calls.Load(), st.SkippedRails, want)
+	}
+	if st.PrunedBound != 0 {
+		t.Errorf("custom objective pruned %d points", st.PrunedBound)
 	}
 	full := 6 * 25 * 10 * 10 // rows × VSSC levels × Npre × Nwr
-	if serr.Stats.Evaluated >= full {
-		t.Errorf("search ran to completion (%d evals) despite the error", serr.Stats.Evaluated)
+	if st.Evaluated >= full {
+		t.Errorf("search ran to completion (%d evals) despite the cancellation", st.Evaluated)
 	}
 }
 
@@ -195,89 +216,128 @@ func TestOptimizePreCancelledContext(t *testing.T) {
 	}
 }
 
-// TestGreedyPropagatesModelError: a model bug must surface as an error, not
-// masquerade as an infeasible search space.
-func TestGreedyPropagatesModelError(t *testing.T) {
-	f := paperFramework(t)
-	sentinel := errors.New("injected model failure")
-	opts := Options{
-		CapacityBits: 8192,
-		Flavor:       device.HVT,
-		Method:       M2,
-		evalHook: func(*array.Tech, array.Design, array.Activity) (*array.Result, error) {
-			return nil, sentinel
-		},
+// TestSearchPropagatesModelError: a model failure partway through the
+// search must abort both searchers with a *SearchError naming it, not
+// masquerade as an infeasible search space. The fault is a cell read
+// current that turns non-positive after some calls, which the evaluator
+// rejects when it prepares a unit.
+func TestSearchPropagatesModelError(t *testing.T) {
+	for _, pareto := range []bool{false, true} {
+		f := cloneFramework(t)
+		hvt := f.Cells[device.HVT]
+		iRead := hvt.IRead
+		var calls atomic.Int64
+		hvt.IRead = func(vddc, vssc float64) float64 {
+			if calls.Add(1) > 20 {
+				return 0
+			}
+			return iRead(vddc, vssc)
+		}
+		opts := Options{CapacityBits: 8192, Flavor: device.HVT, Method: M2}
+		var err error
+		if pareto {
+			_, err = f.ParetoSearch(opts)
+		} else {
+			_, err = f.Optimize(opts)
+		}
+		var serr *SearchError
+		if !errors.As(err, &serr) {
+			t.Fatalf("pareto=%v: error %v (%T) does not carry SearchStats", pareto, err, err)
+		}
+		if errors.Is(err, ErrInfeasible) {
+			t.Errorf("pareto=%v: model error misreported as an infeasible search space: %v", pareto, err)
+		}
+		if !strings.Contains(err.Error(), "non-positive read current") {
+			t.Errorf("pareto=%v: error %v does not name the model failure", pareto, err)
+		}
 	}
-	_, err := f.GreedyOptimize(opts)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("GreedyOptimize error = %v, want the injected sentinel", err)
+}
+
+// TestSearchRejectsBaseFlavorBelowHSNM: hold stability does not depend on
+// the searched variables, so both searchers must refuse a base flavor whose
+// HSNM is below δ — with the same error — before sweeping anything.
+func TestSearchRejectsBaseFlavorBelowHSNM(t *testing.T) {
+	f := cloneFramework(t)
+	f.Cells[device.HVT].HSNM = f.Delta / 2
+	opts := Options{CapacityBits: 4096, Flavor: device.HVT, Method: M2}
+	_, optErr := f.Optimize(opts)
+	_, parErr := f.ParetoSearch(opts)
+	if optErr == nil || parErr == nil {
+		t.Fatalf("HSNM below δ accepted: Optimize error %v, ParetoSearch error %v", optErr, parErr)
 	}
-	if errors.Is(err, ErrInfeasible) {
-		t.Error("model error misreported as an infeasible search space")
+	if optErr.Error() != parErr.Error() {
+		t.Errorf("searchers disagree on the HSNM error:\nOptimize    %v\nParetoSearch %v", optErr, parErr)
 	}
-	var serr *SearchError
-	if !errors.As(err, &serr) {
-		t.Fatalf("error %T does not carry SearchStats", err)
+	if !strings.Contains(optErr.Error(), "HSNM") {
+		t.Errorf("error %v does not name HSNM", optErr)
 	}
 }
 
 // TestInfeasibleSpaceIsClassified: when every point fails a constraint, both
 // searchers report ErrInfeasible (so bank sweeps can skip the partitioning)
-// rather than a generic error.
+// rather than a generic error, with pruning on and off. Bitline drain caps
+// ×1e3 make every candidate's assist rails miss the access cycle.
 func TestInfeasibleSpaceIsClassified(t *testing.T) {
-	f := paperFramework(t)
-	hook := func(tech *array.Tech, d array.Design, act array.Activity) (*array.Result, error) {
-		r, err := array.Evaluate(tech, d, act)
-		if err != nil {
-			return nil, err
-		}
-		r.RailsSettleInTime = false
-		return r, nil
-	}
+	f := cloneFramework(t)
+	f.Caps.Cdn *= 1e3
+	f.Caps.Cdp *= 1e3
 	opts := Options{
 		CapacityBits: 4096,
 		Flavor:       device.HVT,
 		Method:       M2,
-		Space:        SearchSpace{VSSCMin: -0.02, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 2, NwrMax: 2},
-		evalHook:     hook,
+		Space:        SearchSpace{VSSCMin: -0.02, VSSCStep: 0.01, NRMax: 16, NCMax: 1024, NpreMax: 2, NwrMax: 2},
 	}
-	if _, err := f.Optimize(opts); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("Optimize error = %v, want ErrInfeasible", err)
-	}
-	if _, err := f.GreedyOptimize(opts); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("GreedyOptimize error = %v, want ErrInfeasible", err)
+	for _, off := range []bool{false, true} {
+		opts.DisableBounds = off
+		if _, err := f.Optimize(opts); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("DisableBounds=%v: Optimize error = %v, want ErrInfeasible", off, err)
+		}
+		_, err := f.ParetoSearch(opts)
+		var serr *SearchError
+		if !errors.Is(err, ErrInfeasible) || !errors.As(err, &serr) {
+			t.Fatalf("DisableBounds=%v: ParetoSearch error = %v, want a *SearchError wrapping ErrInfeasible", off, err)
+		}
+		// 3 organizations × 3 VSSC levels × 2×2 fins; with pruning off every
+		// one is evaluated and rejected for its rails.
+		st := serr.Stats
+		if off && (st.Evaluated != 36 || st.SkippedRails != 36) {
+			t.Errorf("full enumeration: %d evaluated, %d rail skips, want 36 and 36", st.Evaluated, st.SkippedRails)
+		}
+		if !off && (st.Evaluated != 0 || st.PrunedBound != 36) {
+			t.Errorf("bounded search: %d evaluated, %d bound-pruned, want 0 and 36", st.Evaluated, st.PrunedBound)
+		}
 	}
 }
 
-// TestGreedyHonorsSearchWLSegs: the greedy searcher must explore the same
-// divided-wordline axis as the exhaustive one when SearchWLSegs is set, and
-// stay flat otherwise.
-func TestGreedyHonorsSearchWLSegs(t *testing.T) {
+// TestCustomObjectiveMatchesBuiltin: a custom objective computing EDP is not
+// pointer-equal to ObjectiveEDP, so it takes the no-prune path and the
+// full-Result sink; its optimum must be bit-identical to the bounded
+// built-in search's, on a plain and on a hybrid space.
+func TestCustomObjectiveMatchesBuiltin(t *testing.T) {
 	f := paperFramework(t)
-	for _, dwl := range []bool{false, true} {
-		maxSegs := 0
-		opts := Options{
-			CapacityBits: 32768,
-			Flavor:       device.HVT,
-			Method:       M2,
-			W:            8,
-			Space:        SearchSpace{VSSCMin: -0.02, VSSCStep: 0.01, NRMax: 1024, NCMax: 1024, NpreMax: 5, NwrMax: 5},
-			SearchWLSegs: dwl,
-			evalHook: func(tech *array.Tech, d array.Design, act array.Activity) (*array.Result, error) {
-				if s := d.Geom.Segments(); s > maxSegs {
-					maxSegs = s
-				}
-				return array.Evaluate(tech, d, act)
-			},
+	custom := Objective(func(r *array.Result) float64 { return r.EDP })
+	sp := DefaultSpace()
+	sp.MuxMax = 2
+	for _, opts := range []Options{
+		{CapacityBits: 4 * 1024 * 8, Flavor: device.HVT, Method: M2},
+		{CapacityBits: 2 * 1024 * 8, Flavor: device.LVT, Method: M2, HybridGroups: 2, Space: sp},
+	} {
+		builtin, err := f.Optimize(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := f.GreedyOptimize(opts); err != nil {
-			t.Fatalf("SearchWLSegs=%v: %v", dwl, err)
+		opts.Objective = custom
+		got, err := f.Optimize(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if dwl && maxSegs < 2 {
-			t.Errorf("SearchWLSegs=true but greedy never evaluated a divided wordline (max segments %d)", maxSegs)
+		if !reflect.DeepEqual(got.Best, builtin.Best) {
+			t.Errorf("groups=%d: custom-objective optimum diverges from ObjectiveEDP:\ncustom  %+v\nbuiltin %+v",
+				opts.HybridGroups, got.Best, builtin.Best)
 		}
-		if !dwl && maxSegs > 1 {
-			t.Errorf("SearchWLSegs=false but greedy evaluated %d-segment wordlines", maxSegs)
+		if got.Stats.PrunedBound != 0 || builtin.Stats.PrunedBound == 0 {
+			t.Errorf("groups=%d: pruned %d (custom) and %d (built-in) points, want 0 and > 0",
+				opts.HybridGroups, got.Stats.PrunedBound, builtin.Stats.PrunedBound)
 		}
 	}
 }

@@ -178,7 +178,7 @@ func Default() (*Framework, error) {
 }
 
 // Core exposes the underlying core framework for advanced use (custom
-// objectives, search spaces, greedy ablation).
+// objectives, search spaces, Pareto fronts, sensitivity analysis).
 func (f *Framework) Core() *core.Framework { return f.core }
 
 // Fingerprint digests every model input that shapes a search result —
