@@ -1,9 +1,9 @@
 // Command mcyield runs Monte Carlo yield analysis of the 6T SRAM cell under
-// per-transistor threshold variation, reporting margin statistics, μ−kσ
-// values and the failure fraction against the paper's δ = 0.35·Vdd
-// constraint. With -stream it runs the streaming engine instead: checkpoint
-// lines with converging confidence intervals, stopping early once the
-// requested relative CI on μ−3σ is met.
+// per-transistor threshold variation, reporting the (importance-weighted)
+// margin statistics, μ−kσ values and the failure fraction against the
+// paper's δ = 0.35·Vdd constraint. With -stream it also prints a checkpoint
+// line per interval with converging confidence intervals; -rel-ci stops the
+// run early once the requested relative CI on μ−3σ is met.
 //
 // Usage:
 //
@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -26,34 +27,11 @@ import (
 
 	"sramco/internal/cell"
 	"sramco/internal/cliutil"
-	"sramco/internal/core"
 	"sramco/internal/device"
 	"sramco/internal/mc"
-	"sramco/internal/num"
 	"sramco/internal/obs"
 	"sramco/internal/unit"
 )
-
-// parseMetrics maps a comma-separated metric list onto the mc bitmask.
-func parseMetrics(s string) (mc.Metric, error) {
-	if s == "" {
-		return mc.AllMetrics, nil
-	}
-	var m mc.Metric
-	for _, name := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "hsnm":
-			m |= mc.HSNM
-		case "rsnm":
-			m |= mc.RSNM
-		case "wm":
-			m |= mc.WM
-		default:
-			return 0, fmt.Errorf("unknown metric %q (want hsnm, rsnm or wm)", name)
-		}
-	}
-	return m, nil
-}
 
 func main() {
 	cliutil.SetName("mcyield")
@@ -81,7 +59,11 @@ func main() {
 	default:
 		cliutil.Fatalf("unknown flavor %q", *flavorStr)
 	}
-	metrics, err := parseMetrics(*metricStr)
+	var metricNames []string
+	if *metricStr != "" {
+		metricNames = strings.Split(*metricStr, ",")
+	}
+	metrics, err := mc.ParseMetrics(metricNames)
 	if err != nil {
 		cliutil.Fatalf("%v", err)
 	}
@@ -99,10 +81,13 @@ func main() {
 	write := cell.NominalWrite(device.Vdd)
 	write.VWL = *vwl
 
-	cfg := mc.Config{
-		Flavor: flavor, N: *n, SigmaVt: *sigma, Seed: *seed,
-		Read: read, Write: write, Metrics: metrics,
-		Sampler: sampler, Tilt: *tilt,
+	cfg := mc.StreamConfig{
+		Config: mc.Config{
+			Flavor: flavor, N: *n, SigmaVt: *sigma, Seed: *seed,
+			Read: read, Write: write, Metrics: metrics,
+			Sampler: sampler, Tilt: *tilt,
+		},
+		RelCI: *relCI,
 	}
 
 	// Ctrl-C / SIGTERM abandons the pending samples; in-flight ones finish.
@@ -116,73 +101,88 @@ func main() {
 		return fmt.Sprintf("mc: sample %d/%d", reg.CounterValue("mc.samples.done"), *n)
 	})
 
-	delta := core.DefaultDelta(device.Vdd)
 	fmt.Printf("6T-%v, %d samples, σVt=%s, sampler=%v tilt=%g, VDDC=%s VSSC=%s VWL=%s\n",
 		flavor, *n, unit.Volts(*sigma), sampler, *tilt,
 		unit.Volts(*vddc), unit.Volts(*vssc), unit.Volts(*vwl))
 
-	if *stream || *relCI > 0 {
-		runStream(ctx, cfg, *relCI, stopProgress)
-		cliutil.Shutdown()
-		return
+	streamed := *stream || *relCI > 0
+	var emit func(mc.Checkpoint) error
+	if streamed {
+		emit = func(cp mc.Checkpoint) error {
+			printCheckpoint(os.Stdout, cp)
+			return nil
+		}
 	}
-
-	res, err := mc.RunContext(ctx, cfg)
+	res, err := mc.RunStream(ctx, cfg, emit)
 	stopProgress()
 	if err != nil {
 		cliutil.Fatalf("%v", err)
 	}
-	fmt.Printf("  run: %s\n", res.Stats)
-	report := func(name string, s num.Summary) {
-		if s.N == 0 {
-			return
-		}
-		fmt.Printf("  %-5s mean=%s σ=%s min=%s  μ-3σ=%s  μ-6σ=%s\n",
-			name, unit.Volts(s.Mean), unit.Volts(s.Std), unit.Volts(s.Min),
-			unit.Volts(mc.MuMinusKSigma(s, 3)), unit.Volts(mc.MuMinusKSigma(s, 6)))
-	}
-	report("HSNM", res.HSNM)
-	report("RSNM", res.RSNM)
-	report("WM", res.WM)
-	fmt.Printf("  fraction with min margin < δ=%s: %.1f%%\n", unit.Volts(delta), res.FailFraction(delta)*100)
+	report(os.Stdout, res, streamed)
 	cliutil.Shutdown()
 }
 
-// runStream drives the streaming engine, printing one line per checkpoint.
-func runStream(ctx context.Context, cfg mc.Config, relCI float64, stopProgress func()) {
-	printStat := func(name string, m *mc.MetricStat) {
-		if m == nil {
-			return
+// namedStat is one computed metric's estimate with its display name.
+type namedStat struct {
+	name string
+	st   *mc.MetricStat
+}
+
+// computed lists the checkpoint's computed metrics in canonical order.
+func computed(cp mc.Checkpoint) []namedStat {
+	var out []namedStat
+	for _, m := range []namedStat{{"HSNM", cp.HSNM}, {"RSNM", cp.RSNM}, {"WM", cp.WM}} {
+		if m.st != nil {
+			out = append(out, m)
 		}
-		rel := "n/a"
-		if m.RelCI >= 0 {
-			rel = fmt.Sprintf("%.2f%%", m.RelCI*100)
+	}
+	return out
+}
+
+// printCheckpoint prints one streamed checkpoint: the sample count, ESS and
+// fail fraction with its CI, then one line per computed metric.
+func printCheckpoint(w io.Writer, cp mc.Checkpoint) {
+	tag := ""
+	if cp.Converged {
+		tag = "  [converged]"
+	} else if cp.Final {
+		tag = "  [final]"
+	}
+	fmt.Fprintf(w, "checkpoint: %d samples, ESS %.0f, fail %.2f%% [%.2f%%, %.2f%%]%s\n",
+		cp.Samples, cp.ESS, cp.FailFraction*100, cp.FailLo*100, cp.FailHi*100, tag)
+	for _, m := range computed(cp) {
+		ci, rel := "n/a", "n/a"
+		if m.st.CIHalf >= 0 {
+			ci = unit.Volts(m.st.CIHalf)
 		}
-		fmt.Printf("  %-5s μ=%s σ=%s  μ-3σ=%s ±%s (rel %s)\n",
-			name, unit.Volts(m.Mean), unit.Volts(m.Std), unit.Volts(m.Mu3),
-			unit.Volts(m.CIHalf), rel)
-	}
-	res, err := mc.RunStream(ctx, mc.StreamConfig{Config: cfg, RelCI: relCI}, func(cp mc.Checkpoint) error {
-		tag := ""
-		if cp.Converged {
-			tag = "  [converged]"
-		} else if cp.Final {
-			tag = "  [final]"
+		if m.st.RelCI >= 0 {
+			rel = fmt.Sprintf("%.2f%%", m.st.RelCI*100)
 		}
-		fmt.Printf("checkpoint: %d samples, ESS %.0f, fail %.2f%% [%.2f%%, %.2f%%]%s\n",
-			cp.Samples, cp.ESS, cp.FailFraction*100, cp.FailLo*100, cp.FailHi*100, tag)
-		printStat("HSNM", cp.HSNM)
-		printStat("RSNM", cp.RSNM)
-		printStat("WM", cp.WM)
-		return nil
-	})
-	stopProgress()
-	if err != nil {
-		cliutil.Fatalf("%v", err)
+		fmt.Fprintf(w, "  %-5s μ=%s σ=%s  μ-3σ=%s ±%s (rel %s)\n",
+			m.name, unit.Volts(m.st.Mean), unit.Volts(m.st.Std), unit.Volts(m.st.Mu3), ci, rel)
 	}
-	fmt.Printf("done: %s, %d checkpoints", res.Stats, res.Checkpoints)
-	if res.Final.Converged {
-		fmt.Printf(", converged inside rel CI %g after %d of %d samples", relCI, res.Final.Samples, cfg.N)
+}
+
+// report prints the outcome of a finished run. A streamed run already
+// printed its checkpoints, so it gets one done line; otherwise the run stats
+// and the final checkpoint's weighted estimators are summarized — under an
+// importance tilt those, not the raw tilted draws, estimate the nominal
+// margin distribution.
+func report(w io.Writer, res *mc.StreamResult, streamed bool) {
+	final := res.Final
+	if streamed {
+		fmt.Fprintf(w, "done: %s, %d checkpoints", res.Stats, res.Checkpoints)
+		if final.Converged {
+			fmt.Fprintf(w, ", converged inside rel CI %g after %d of %d samples", res.Config.RelCI, final.Samples, res.Config.N)
+		}
+		fmt.Fprintln(w)
+		return
 	}
-	fmt.Println()
+	fmt.Fprintf(w, "  run: %s\n", res.Stats)
+	for _, m := range computed(final) {
+		fmt.Fprintf(w, "  %-5s mean=%s σ=%s min=%s  μ-3σ=%s  μ-6σ=%s\n",
+			m.name, unit.Volts(m.st.Mean), unit.Volts(m.st.Std), unit.Volts(m.st.Min),
+			unit.Volts(m.st.Mu3), unit.Volts(m.st.Mean-6*m.st.Std))
+	}
+	fmt.Fprintf(w, "  fraction with min margin < δ=%s: %.1f%%\n", unit.Volts(final.Delta), final.FailFraction*100)
 }

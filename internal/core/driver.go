@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sramco/internal/array"
@@ -42,41 +41,11 @@ import (
 //  3. the remaining chunks are sharded over workers, each pruning against
 //     the frozen state and its own chunk-local best — both independent of
 //     which worker runs the chunk or in what order.
-//
-// The cross-worker atomic best-so-far (bestSoFar) is published on every
-// improvement, but no pruning decision reads it.
 
 // bnbMinRun is the N_wr range width below which the searcher sweeps the
 // points instead of bisecting further: a BoundRect costs about an eighth of
 // sweeping this many points, so bounding smaller ranges stops paying.
 const bnbMinRun = 4
-
-// atomicMin is a lock-free monotonically non-increasing float64 cell.
-// Publish lowers it via CAS, so concurrent publishers can never regress the
-// value; Load returns the current minimum.
-type atomicMin struct{ bits atomic.Uint64 }
-
-func newAtomicMin() *atomicMin {
-	m := &atomicMin{}
-	m.bits.Store(math.Float64bits(math.Inf(1)))
-	return m
-}
-
-// Publish lowers the cell to v if v improves on the current value.
-func (m *atomicMin) Publish(v float64) {
-	for {
-		old := m.bits.Load()
-		if !(v < math.Float64frombits(old)) {
-			return
-		}
-		if m.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Load returns the current minimum (+Inf before any Publish).
-func (m *atomicMin) Load() float64 { return math.Float64frombits(m.bits.Load()) }
 
 // searchUnit is one (chunk, segmentation, mux, group-mask) rectangle as the
 // enumerator classified it: geometry-invalid (charged to SkippedGeom),
@@ -108,12 +77,11 @@ type search struct {
 	kind   objKind // objective whose bound picks the seed chunk (and prunes, for a pruned argmin search)
 	prune  bool    // branch-and-bound on: !DisableBounds, and a built-in objective or the frontier
 
-	stats     SearchStats // preamble counts: PrunedVSSC, SkippedRSNM of pruned levels, Chunks
-	start     time.Time
-	span      obs.Span
-	sctx      context.Context
-	cancel    context.CancelCauseFunc
-	bestSoFar *atomicMin
+	stats  SearchStats // preamble counts: PrunedVSSC, SkippedRSNM of pruned levels, Chunks
+	start  time.Time
+	span   obs.Span
+	sctx   context.Context
+	cancel context.CancelCauseFunc
 
 	// Frozen after the seed chunk and read-only during the sharded sweep.
 	T  float64       // argmin pruning threshold
@@ -238,7 +206,7 @@ func (f *Framework) newSearch(ctx context.Context, opts Options, pareto bool) (*
 		pareto: pareto, kind: kind,
 		prune: !opts.DisableBounds && (pareto || kind != objCustom),
 		stats: stats, start: start, span: span, sctx: sctx, cancel: cancel,
-		bestSoFar: newAtomicMin(), T: math.Inf(1),
+		T: math.Inf(1),
 	}, nil
 }
 
@@ -612,7 +580,6 @@ func (s *search) takeMin(c chunk, u *searchUnit, w *searchWorker, npre, lo, n in
 		}
 		rc := w.scratch
 		w.best, w.obj = &DesignPoint{Design: rc.Design, Result: &rc}, v
-		s.bestSoFar.Publish(v)
 	}
 	return true
 }

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"math"
-	"math/rand"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sramco/internal/device"
@@ -133,72 +129,5 @@ func TestBranchAndBoundParityInfeasible(t *testing.T) {
 	full.DisableBounds = true
 	if _, err := f.Optimize(full); err == nil {
 		t.Fatal("full search of an infeasible space succeeded")
-	}
-}
-
-// TestAtomicMinNeverRegresses is the race gate for the published best-so-far
-// (run with -race via make check): GOMAXPROCS publishers hammer the cell
-// with random values while readers assert the loaded minimum is monotonically
-// non-increasing and finally equals the true minimum of everything published.
-func TestAtomicMinNeverRegresses(t *testing.T) {
-	m := newAtomicMin()
-	if v := m.Load(); !math.IsInf(v, 1) {
-		t.Fatalf("initial value %v, want +Inf", v)
-	}
-
-	const publishers = 8
-	const perPublisher = 2000
-	var trueMin atomic.Uint64
-	trueMin.Store(math.Float64bits(math.Inf(1)))
-	stop := make(chan struct{})
-
-	// Readers: the observed minimum must never increase.
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			last := math.Inf(1)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				v := m.Load()
-				if v > last {
-					t.Errorf("best-so-far regressed: %v after %v", v, last)
-					return
-				}
-				last = v
-			}
-		}()
-	}
-
-	var pubs sync.WaitGroup
-	for p := 0; p < publishers; p++ {
-		pubs.Add(1)
-		go func(seed int64) {
-			defer pubs.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < perPublisher; i++ {
-				v := rng.Float64()
-				m.Publish(v)
-				for {
-					old := trueMin.Load()
-					if v >= math.Float64frombits(old) ||
-						trueMin.CompareAndSwap(old, math.Float64bits(v)) {
-						break
-					}
-				}
-			}
-		}(int64(p) + 1)
-	}
-	pubs.Wait()
-	close(stop)
-	readers.Wait()
-
-	if got, want := m.Load(), math.Float64frombits(trueMin.Load()); got != want {
-		t.Errorf("final minimum %v, want %v", got, want)
 	}
 }

@@ -46,5 +46,8 @@ func FuzzConfigNormalize(f *testing.F) {
 		if c.Metrics == 0 {
 			t.Error("normalize left Metrics unset")
 		}
+		if c.Metrics&^AllMetrics != 0 {
+			t.Errorf("normalize accepted stray metric bits %#x", int(c.Metrics))
+		}
 	})
 }

@@ -12,10 +12,11 @@
 // exact importance weights (Config.Tilt). Sampling is deterministic for a
 // given seed, independent of parallel scheduling.
 //
-// RunContext evaluates a fixed N; RunStream additionally maintains streaming
-// Welford statistics with confidence intervals on μ−3σ and the fail
-// fraction, emitting checkpoints and stopping early once a requested
-// relative CI is met.
+// RunStream is the one engine: it evaluates fixed sample blocks on a worker
+// pool, merges them in index order into weighted Welford statistics with
+// confidence intervals on μ−3σ and the fail fraction, emits checkpoints, and
+// stops early once a requested relative CI is met. Run and RunContext are
+// RunStream at RelCI 0 (all N samples) with the raw margins summarized.
 package mc
 
 import (
@@ -23,9 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"sramco/internal/cell"
@@ -79,6 +78,45 @@ const (
 	AllMetrics = HSNM | RSNM | WM
 )
 
+// metricNames is the one name table for metric sets, in canonical order.
+var metricNames = [...]struct {
+	m    Metric
+	name string
+}{{HSNM, "hsnm"}, {RSNM, "rsnm"}, {WM, "wm"}}
+
+// ParseMetrics parses metric names ("hsnm", "rsnm", "wm"; case and
+// surrounding space are ignored) into a metric set. No names selects
+// AllMetrics.
+func ParseMetrics(names []string) (Metric, error) {
+	if len(names) == 0 {
+		return AllMetrics, nil
+	}
+	var m Metric
+next:
+	for _, name := range names {
+		for _, mn := range metricNames {
+			if strings.EqualFold(strings.TrimSpace(name), mn.name) {
+				m |= mn.m
+				continue next
+			}
+		}
+		return 0, fmt.Errorf("mc: unknown metric %q (want hsnm, rsnm or wm)", name)
+	}
+	return m, nil
+}
+
+// Names returns the names of the metrics in m, in the canonical order
+// hsnm, rsnm, wm.
+func (m Metric) Names() []string {
+	var names []string
+	for _, mn := range metricNames {
+		if m&mn.m != 0 {
+			names = append(names, mn.name)
+		}
+	}
+	return names
+}
+
 // Config describes one Monte Carlo experiment.
 type Config struct {
 	Flavor  device.Flavor
@@ -123,6 +161,9 @@ func (c *Config) normalize() error {
 	if c.Metrics == 0 {
 		c.Metrics = AllMetrics
 	}
+	if c.Metrics&^AllMetrics != 0 {
+		return fmt.Errorf("mc: metric set %#x has bits outside hsnm|rsnm|wm", int(c.Metrics))
+	}
 	if c.Sampler < 0 || c.Sampler >= numSamplers {
 		return fmt.Errorf("mc: unknown sampler %d", int(c.Sampler))
 	}
@@ -163,6 +204,17 @@ func (s Sample) Min() float64 {
 	return m
 }
 
+// margin returns the sample's value of the single metric m.
+func (s *Sample) margin(m Metric) float64 {
+	switch m {
+	case HSNM:
+		return s.HSNM
+	case RSNM:
+		return s.RSNM
+	}
+	return s.WM
+}
+
 // weight returns the sample's importance weight, defaulting zero to 1.
 func (s Sample) weight() float64 {
 	if s.Weight == 0 {
@@ -189,9 +241,9 @@ type Result struct {
 	Samples []Sample
 	Stats   RunStats
 
-	// Summaries of the raw computed metric values. Under an importance tilt
-	// these describe the tilted draw distribution; the weighted (unbiased)
-	// estimators live in RunStream's checkpoints.
+	// Summaries of the raw computed metric values (see Summarize). Under an
+	// importance tilt these describe the tilted draw distribution; the
+	// weighted (unbiased) estimators live in RunStream's checkpoints.
 	HSNM, RSNM, WM num.Summary
 }
 
@@ -202,10 +254,6 @@ type evaluator struct {
 	cfg *Config
 	dr  *drawer
 	scr *cell.Scratch // built on first use
-}
-
-func newEvaluator(lib *device.Library, cfg *Config, dr *drawer) *evaluator {
-	return &evaluator{lib: lib, cfg: cfg, dr: dr}
 }
 
 // sample draws and characterizes sample i.
@@ -262,106 +310,42 @@ func (e *evaluator) sample(i int) (Sample, error) {
 // RunContext without cancellation.
 func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
 
-// RunContext executes the experiment, parallelized across CPU cores, and
-// stops early when ctx is done: in-flight samples finish, pending ones are
-// abandoned, and the cancellation cause is returned (wrapping the first real
-// sample error, if any sample also failed). Sampling stays deterministic for
-// a given seed — each sample's draws depend only on its index — so a
-// completed run is bit-identical for any GOMAXPROCS. Work is claimed through
-// an atomic cursor, so scheduling memory is O(workers) regardless of N.
+// RunContext executes all cfg.N samples through RunStream (RelCI 0, no
+// checkpoint sink) and summarizes the raw margins. It inherits RunStream's
+// guarantees: a completed run is bit-identical for any GOMAXPROCS, and when
+// ctx is done pending samples are abandoned and the cancellation cause is
+// returned (wrapping the first real sample error, if any sample also
+// failed).
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	start := time.Now()
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	dr, err := newDrawer(&cfg)
+	sr, err := RunStream(ctx, StreamConfig{Config: cfg}, nil)
 	if err != nil {
 		return nil, err
 	}
-	lib := device.Default7nm()
-	samples := make([]Sample, cfg.N)
-	errs := make([]error, cfg.N)
+	return &Result{
+		Config:  sr.Config.Config,
+		Samples: sr.Samples,
+		Stats:   sr.Stats,
+		HSNM:    Summarize(sr.Samples, HSNM),
+		RSNM:    Summarize(sr.Samples, RSNM),
+		WM:      Summarize(sr.Samples, WM),
+	}, nil
+}
 
-	mRuns.Inc()
-	// The gauge is a shared in-flight total: delta it rather than Set it, so
-	// two overlapping runs (e.g. concurrent /v1/yield requests) report
-	// N1+N2 pending samples instead of whichever run registered last.
-	gSamplesTotal.Add(float64(cfg.N))
-	defer gSamplesTotal.Add(-float64(cfg.N))
-	runSpan := obs.StartSpanCtx(ctx, "mc.run")
-	runSpan.Int("n", int64(cfg.N))
-	runSpan.Int("seed", cfg.Seed)
-
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	var cursor atomic.Int64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.N {
-		workers = cfg.N
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := newEvaluator(lib, &cfg, dr)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= cfg.N || ctx.Err() != nil {
-					return
-				}
-				t0 := time.Now()
-				samples[i], errs[i] = ev.sample(i)
-				done.Add(1)
-				mSamplesDone.Inc()
-				hSampleDur.Observe(time.Since(t0))
-				if errs[i] != nil {
-					mSampleFails.Inc()
-				} else if obs.Enabled() {
-					obs.PointCtx(ctx, "mc.sample", obs.I64("i", int64(i)), obs.F64("min_margin", samples[i].Min()))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	runSpan.Int("done", done.Load())
-	runSpan.End()
-	if ctx.Err() != nil {
-		// A cancellation must not mask a real failure: if any completed
-		// sample hit a solver error, surface it alongside the cause.
-		for i, serr := range errs {
-			if serr != nil {
-				return nil, fmt.Errorf("mc: sample %d: %w (run canceled after %d of %d samples: %w)",
-					i, serr, done.Load(), cfg.N, context.Cause(ctx))
-			}
-		}
-		return nil, fmt.Errorf("mc: run canceled after %d of %d samples: %w", done.Load(), cfg.N, context.Cause(ctx))
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mc: sample %d: %w", i, err)
+// Summarize returns the plain (unweighted) summary of margin m over the
+// samples that computed it, or the zero Summary when none did. Under an
+// importance tilt it describes the tilted draw distribution, not the
+// nominal one.
+func Summarize(samples []Sample, m Metric) num.Summary {
+	vals := make([]float64, 0, len(samples))
+	for i := range samples {
+		if v := samples[i].margin(m); !math.IsNaN(v) {
+			vals = append(vals, v)
 		}
 	}
-	res := &Result{
-		Config:  cfg,
-		Samples: samples,
-		Stats:   RunStats{Samples: cfg.N, Workers: workers, Wall: time.Since(start)},
+	if len(vals) == 0 {
+		return num.Summary{}
 	}
-	collect := func(get func(Sample) float64) num.Summary {
-		vals := make([]float64, 0, cfg.N)
-		for _, s := range samples {
-			if v := get(s); !math.IsNaN(v) {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return num.Summary{}
-		}
-		return num.Summarize(vals)
-	}
-	res.HSNM = collect(func(s Sample) float64 { return s.HSNM })
-	res.RSNM = collect(func(s Sample) float64 { return s.RSNM })
-	res.WM = collect(func(s Sample) float64 { return s.WM })
-	return res, nil
+	return num.Summarize(vals)
 }
 
 // MuMinusKSigma returns μ − k·σ for a summary — the paper's yield statistic.

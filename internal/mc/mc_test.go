@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"sramco/internal/cell"
@@ -113,5 +115,40 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Flavor: device.HVT, N: 4, SigmaVt: -0.01}); err == nil {
 		t.Error("negative sigma accepted")
+	}
+}
+
+// TestConfigRejectsStrayMetricBits pins the metric-set validation: a set
+// with bits outside hsnm|rsnm|wm used to pass normalize, so Run reported a
+// 0% fail fraction with every margin NaN and a streaming run "converged"
+// having computed nothing.
+func TestConfigRejectsStrayMetricBits(t *testing.T) {
+	for _, m := range []Metric{8, HSNM | 8, -1} {
+		if _, err := Run(Config{Flavor: device.HVT, N: 4, Metrics: m}); err == nil {
+			t.Errorf("Run accepted metric set %#x", int(m))
+		}
+		cfg := StreamConfig{Config: Config{Flavor: device.HVT, N: 64, Metrics: m}, RelCI: 0.1}
+		if _, err := RunStream(context.Background(), cfg, nil); err == nil {
+			t.Errorf("RunStream accepted metric set %#x", int(m))
+		}
+	}
+}
+
+// TestParseMetrics covers the one metric-name table: names are case- and
+// space-insensitive, an empty list selects every metric, and Names renders
+// a set back in canonical order.
+func TestParseMetrics(t *testing.T) {
+	m, err := ParseMetrics([]string{" WM", "hsnm"})
+	if err != nil || m != HSNM|WM {
+		t.Fatalf("ParseMetrics = %v, %v; want HSNM|WM", m, err)
+	}
+	if got := m.Names(); !reflect.DeepEqual(got, []string{"hsnm", "wm"}) {
+		t.Errorf("Names = %v, want [hsnm wm]", got)
+	}
+	if m, err := ParseMetrics(nil); err != nil || m != AllMetrics {
+		t.Errorf("ParseMetrics(nil) = %v, %v; want AllMetrics", m, err)
+	}
+	if _, err := ParseMetrics([]string{"snm"}); err == nil {
+		t.Error("unknown metric accepted")
 	}
 }

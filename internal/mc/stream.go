@@ -37,10 +37,6 @@ type StreamConfig struct {
 	// checkpoints; 0 selects 32. Checkpoints land on block boundaries, so
 	// the effective interval is rounded up to whole blocks.
 	CheckpointEvery int
-	// KeepValues retains each metric's raw sample values (in index order) in
-	// the StreamResult, enabling full summaries (median/quantiles) after a
-	// streaming run.
-	KeepValues bool
 }
 
 func (c *StreamConfig) normalize() error {
@@ -74,9 +70,9 @@ type MetricStat struct {
 	Std    float64 `json:"std"`
 	Min    float64 `json:"min"`
 	Max    float64 `json:"max"`
-	Mu3    float64 `json:"mu3sigma"`  // μ − 3σ, the paper's yield statistic
-	CIHalf float64 `json:"ci_half"`   // 95% half-width on μ−3σ; −1 when not yet computable
-	RelCI  float64 `json:"rel_ci"`    // CIHalf / |μ−3σ|; −1 when not yet computable
+	Mu3    float64 `json:"mu3sigma"` // μ − 3σ, the paper's yield statistic
+	CIHalf float64 `json:"ci_half"`  // 95% half-width on μ−3σ; −1 when not yet computable
+	RelCI  float64 `json:"rel_ci"`   // CIHalf / |μ−3σ|; −1 when not yet computable
 }
 
 // Checkpoint is one emitted line of a streaming run: the state of all
@@ -106,49 +102,31 @@ type StreamResult struct {
 	Checkpoints int      // checkpoints emitted (including the final one)
 	Stats       RunStats // Samples = samples actually merged
 
-	// Values holds each requested metric's raw sample values in index order
-	// when KeepValues was set.
-	Values map[Metric][]float64
+	// Samples holds the merged samples in index order: all N at RelCI 0,
+	// the converged prefix after an early stop.
+	Samples []Sample
 }
 
 // streamAcc accumulates the streaming estimators over merged samples.
 type streamAcc struct {
-	cfg    *StreamConfig
-	hsnm   num.Welford
-	rsnm   num.Welford
-	wm     num.Welford
-	all    num.Welford // min-margin accumulator; carries ΣW/ΣW² for ESS
-	failW  float64     // Σw over samples with min margin < δ
-	values map[Metric][]float64
-}
-
-func newStreamAcc(cfg *StreamConfig) *streamAcc {
-	a := &streamAcc{cfg: cfg}
-	if cfg.KeepValues {
-		a.values = map[Metric][]float64{}
-	}
-	return a
+	cfg   *StreamConfig
+	hsnm  num.Welford
+	rsnm  num.Welford
+	wm    num.Welford
+	all   num.Welford // min-margin accumulator; carries ΣW/ΣW² for ESS
+	failW float64     // Σw over samples with min margin < δ
 }
 
 func (a *streamAcc) add(s *Sample) {
 	w := s.weight()
 	if a.cfg.Metrics&HSNM != 0 {
 		a.hsnm.Add(s.HSNM, w)
-		if a.values != nil {
-			a.values[HSNM] = append(a.values[HSNM], s.HSNM)
-		}
 	}
 	if a.cfg.Metrics&RSNM != 0 {
 		a.rsnm.Add(s.RSNM, w)
-		if a.values != nil {
-			a.values[RSNM] = append(a.values[RSNM], s.RSNM)
-		}
 	}
 	if a.cfg.Metrics&WM != 0 {
 		a.wm.Add(s.WM, w)
-		if a.values != nil {
-			a.values[WM] = append(a.values[WM], s.WM)
-		}
 	}
 	min := s.Min()
 	a.all.Add(min, w)
@@ -219,13 +197,17 @@ func (cp *Checkpoint) converged(target float64) bool {
 	return true
 }
 
-// RunStream executes a streaming Monte Carlo run: workers claim fixed sample
-// blocks through an atomic cursor, and the calling goroutine merges finished
-// blocks in index order, emitting a Checkpoint to emit (if non-nil) at every
-// block-aligned interval. When cfg.RelCI > 0, the run stops at the first
-// checkpoint whose CIs are all inside the target; blocks evaluated beyond
-// that point are discarded, so the merged statistics — and therefore the
-// entire checkpoint sequence — are bit-identical for any GOMAXPROCS.
+// RunStream executes a Monte Carlo run: workers claim fixed sample blocks
+// through an atomic cursor (scheduling memory is O(workers) regardless of
+// N), and the calling goroutine merges finished blocks in index order,
+// emitting a Checkpoint to emit (if non-nil) at every block-aligned
+// interval. When cfg.RelCI > 0, the run stops at the first checkpoint whose
+// CIs are all inside the target; blocks evaluated beyond that point are
+// discarded, so the merged statistics — and therefore the entire checkpoint
+// sequence — are bit-identical for any GOMAXPROCS. When ctx is done,
+// in-flight samples finish, pending ones are abandoned, and the
+// cancellation cause is returned, wrapping the first real sample error if
+// any sample also failed.
 //
 // emit runs on the caller's goroutine (safe for HTTP streaming). A non-nil
 // error from emit aborts the run and is returned.
@@ -250,6 +232,9 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 	blockOK := make([]bool, nBlocks) // block fully evaluated (no cancellation mid-block)
 
 	mRuns.Inc()
+	// The gauge is a shared in-flight total: delta it rather than Set it, so
+	// two overlapping runs (e.g. concurrent /v1/yield requests) report
+	// N1+N2 pending samples instead of whichever run registered last.
 	gSamplesTotal.Add(float64(cfg.N))
 	defer gSamplesTotal.Add(-float64(cfg.N))
 	runSpan := obs.StartSpanCtx(ctx, "mc.stream")
@@ -269,7 +254,7 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev := newEvaluator(lib, &cfg.Config, dr)
+			ev := &evaluator{lib: lib, cfg: &cfg.Config, dr: dr}
 			for {
 				b := int(cursor.Add(1)) - 1
 				if b >= nBlocks || stop.Load() || ctx.Err() != nil {
@@ -313,17 +298,18 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 		<-workersDone
 	}
 
-	acc := newStreamAcc(&cfg)
+	acc := &streamAcc{cfg: &cfg}
 	ready := make([]bool, nBlocks)
-	frontier := 0   // blocks merged so far
-	merged := 0     // samples merged so far
-	emitted := 0    // checkpoints emitted
+	frontier := 0 // blocks merged so far
+	merged := 0   // samples merged so far
+	emitted := 0  // checkpoints emitted
 	var final *Checkpoint
 	var runErr error
 
 	// advance merges every ready in-order block, emitting checkpoints at
 	// block-aligned intervals. It returns false when the run should stop
-	// (converged, sample error, emit error, or an incomplete block).
+	// (converged, sample error, emit error, or an incomplete block); sample
+	// errors are reported after the workers stop.
 	advance := func() bool {
 		for frontier < nBlocks && ready[frontier] {
 			if !blockOK[frontier] {
@@ -335,7 +321,6 @@ func RunStream(ctx context.Context, cfg StreamConfig, emit func(Checkpoint) erro
 			}
 			for i := lo; i < hi; i++ {
 				if errs[i] != nil {
-					runErr = fmt.Errorf("mc: sample %d: %w", i, errs[i])
 					return false
 				}
 				acc.add(&samples[i])
@@ -395,21 +380,25 @@ loop:
 		return nil, runErr
 	}
 	if final == nil {
-		// The reducer stopped before reaching a final checkpoint: either the
-		// context fired or a worker died without finishing its blocks.
+		// The reducer stopped before reaching a final checkpoint: a sample
+		// failed, the context fired, or both. Every block below the frontier
+		// merged cleanly, so the lowest failing index is the one the merge
+		// stopped on, whichever worker hit it first.
+		canceled := ""
 		if ctx.Err() != nil {
-			for i, serr := range errs {
-				if serr != nil {
-					return nil, fmt.Errorf("mc: sample %d: %w (run canceled after %d of %d samples: %w)",
-						i, serr, done.Load(), cfg.N, context.Cause(ctx))
-				}
-			}
-			return nil, fmt.Errorf("mc: run canceled after %d of %d samples: %w", done.Load(), cfg.N, context.Cause(ctx))
+			canceled = fmt.Sprintf("run canceled after %d of %d samples", done.Load(), cfg.N)
 		}
 		for i, serr := range errs {
-			if serr != nil {
-				return nil, fmt.Errorf("mc: sample %d: %w", i, serr)
+			if serr == nil {
+				continue
 			}
+			if canceled != "" {
+				return nil, fmt.Errorf("mc: sample %d: %w (%s: %w)", i, serr, canceled, context.Cause(ctx))
+			}
+			return nil, fmt.Errorf("mc: sample %d: %w", i, serr)
+		}
+		if canceled != "" {
+			return nil, fmt.Errorf("mc: %s: %w", canceled, context.Cause(ctx))
 		}
 		return nil, fmt.Errorf("mc: stream ended after %d of %d samples without a final checkpoint", merged, cfg.N)
 	}
@@ -418,6 +407,6 @@ loop:
 		Final:       *final,
 		Checkpoints: emitted,
 		Stats:       RunStats{Samples: merged, Workers: workers, Wall: time.Since(start)},
-		Values:      acc.values,
+		Samples:     samples[:merged],
 	}, nil
 }

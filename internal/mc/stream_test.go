@@ -178,17 +178,18 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	}
 }
 
-// TestStreamKeepValues asserts raw metric values are retained in merge order
-// when requested, matching the merged sample count.
-func TestStreamKeepValues(t *testing.T) {
+// TestStreamResultSamples asserts the merged samples come back in index
+// order, matching the merged sample count — all N at RelCI 0, the converged
+// prefix after an early stop.
+func TestStreamResultSamples(t *testing.T) {
 	syntheticWM(t, 0.5)
-	cfg := StreamConfig{Config: Config{Flavor: device.HVT, N: 96, Seed: 8, Metrics: WM}, KeepValues: true}
+	cfg := StreamConfig{Config: Config{Flavor: device.HVT, N: 96, Seed: 8, Metrics: WM}}
 	res, _ := collectStream(t, context.Background(), cfg)
-	if got := len(res.Values[WM]); got != res.Final.Samples {
-		t.Fatalf("retained %d WM values, want %d", got, res.Final.Samples)
+	if got := len(res.Samples); got != cfg.N || res.Final.Samples != cfg.N {
+		t.Fatalf("returned %d samples (final %d), want %d", got, res.Final.Samples, cfg.N)
 	}
-	// Values are in sample-index order: recompute sample 0 directly
-	// (normalize first — RunStream normalized its own copy, not ours).
+	// Samples are in index order: recompute sample 0 directly (normalize
+	// first — RunStream normalized its own copy, not ours).
 	if err := cfg.Config.normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +203,15 @@ func TestStreamKeepValues(t *testing.T) {
 	for _, d := range s.DVt {
 		want += d
 	}
-	if res.Values[WM][0] != want {
-		t.Fatalf("Values[WM][0] = %g, want %g", res.Values[WM][0], want)
+	if res.Samples[0].DVt != s.DVt || res.Samples[0].WM != want {
+		t.Fatalf("Samples[0] = %+v, want ΔVt %v and WM %g", res.Samples[0], s.DVt, want)
+	}
+
+	big := StreamConfig{Config: Config{Flavor: device.HVT, N: 4096, Seed: 4, Metrics: WM}, RelCI: 0.10}
+	early, _ := collectStream(t, context.Background(), big)
+	if !early.Final.Converged || len(early.Samples) != early.Final.Samples || early.Final.Samples >= big.N {
+		t.Fatalf("early stop returned %d samples for a %d-sample final checkpoint (converged %v)",
+			len(early.Samples), early.Final.Samples, early.Final.Converged)
 	}
 }
 
@@ -224,29 +232,32 @@ func TestStreamConfigValidation(t *testing.T) {
 	}
 }
 
-// TestCanceledRunSurfacesSampleError pins the RunContext cancellation fix: a
+// TestCanceledRunSurfacesSampleError pins the cancellation fix: a
 // cancellation racing a genuine sample failure must surface the failure
-// wrapped together with the cancellation cause, not mask it.
+// wrapped together with the cancellation cause, not mask it — whether the
+// failing sample sits alone in its block (N ≤ 32) or shares it.
 func TestCanceledRunSurfacesSampleError(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	boom := errors.New("solver exploded")
-	var calls atomic.Int64
-	swapWriteMargin(t, func(*cell.Cell, cell.WriteBias) (float64, error) {
-		if calls.Add(1) == 1 {
-			cancel() // cancellation lands while this sample's error is in flight
-			return 0, boom
+	for _, n := range []int{16, 64} {
+		ctx, cancel := context.WithCancel(context.Background())
+		boom := errors.New("solver exploded")
+		var calls atomic.Int64
+		swapWriteMargin(t, func(*cell.Cell, cell.WriteBias) (float64, error) {
+			if calls.Add(1) == 1 {
+				cancel() // cancellation lands while this sample's error is in flight
+				return 0, boom
+			}
+			return 0.5, nil
+		})
+		_, err := RunContext(ctx, Config{Flavor: device.HVT, N: n, Seed: 3, Metrics: WM})
+		cancel()
+		if err == nil {
+			t.Fatalf("N=%d: run returned no error", n)
 		}
-		return 0.5, nil
-	})
-	_, err := RunContext(ctx, Config{Flavor: device.HVT, N: 64, Seed: 3, Metrics: WM})
-	if err == nil {
-		t.Fatal("run returned no error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("error %v masks the sample failure", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("N=%d: error %v does not wrap context.Canceled", n, err)
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("N=%d: error %v masks the sample failure", n, err)
+		}
 	}
 }

@@ -45,14 +45,16 @@ func fuzzServer(f *testing.F) *Server {
 	if err != nil {
 		f.Fatal(err)
 	}
-	yres, err := sramco.MonteCarloYieldContext(context.Background(), ycfg)
+	yres, err := sramco.MonteCarloYieldStream(context.Background(), ycfg, nil)
 	if err != nil {
 		f.Fatalf("seed yield: %v", err)
 	}
 
 	s.optimizeFn = func(context.Context, sramco.Options) (*sramco.Optimum, error) { return opt, nil }
 	s.paretoFn = func(context.Context, sramco.Options) (*sramco.ParetoResult, error) { return pareto, nil }
-	s.yieldFn = func(context.Context, sramco.MCConfig) (*sramco.MCResult, error) { return yres, nil }
+	s.yieldStreamFn = func(context.Context, sramco.MCStreamConfig, func(sramco.MCCheckpoint) error) (*sramco.MCStreamResult, error) {
+		return yres, nil
+	}
 	return s
 }
 
@@ -92,11 +94,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		{3, `{"flavor":"hvt","metrics":["bad"]}`}, // unknown metric
 		{0, `{"capacity_bytes":1024,"flavor":"lvt","objective":"padp","groups":8,"mux":4}`},
 		{0, `{"capacity_bytes":1024,"flavor":"hvt","objective":"area"}`},
-		{0, `{"capacity_bytes":128,"flavor":"hvt","groups":3}`},                 // non-power-of-two groups
-		{0, `{"capacity_bytes":128,"flavor":"hvt","w":64,"groups":8}`},          // groups exceed the tallest organization's rows
-		{0, `{"capacity_bytes":128,"flavor":"hvt","mux":3}`},                    // non-power-of-two mux
-		{0, `{"capacity_bytes":128,"flavor":"hvt","mux":-2}`},                   // negative mux
-		{0, `{"capacity_bytes":1024,"flavor":"lvt","w":16,"mux":32}`},           // mux wider than the access width
+		{0, `{"capacity_bytes":128,"flavor":"hvt","groups":3}`},        // non-power-of-two groups
+		{0, `{"capacity_bytes":128,"flavor":"hvt","w":64,"groups":8}`}, // groups exceed the tallest organization's rows
+		{0, `{"capacity_bytes":128,"flavor":"hvt","mux":3}`},           // non-power-of-two mux
+		{0, `{"capacity_bytes":128,"flavor":"hvt","mux":-2}`},          // negative mux
+		{0, `{"capacity_bytes":1024,"flavor":"lvt","w":16,"mux":32}`},  // mux wider than the access width
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","mux":2,"groups":4,"group_mask":5}`},
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","group_mask":3}`}, // mask without groups
 		{1, `{"nr":36,"nc":64,"w":32,"flavor":"lvt","method":"m2","groups":8}`},     // rows not divisible by groups

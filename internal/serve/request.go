@@ -379,27 +379,12 @@ func (r *YieldRequest) normalize() *apiError {
 	if r.SigmaVt == 0 {
 		r.SigmaVt = mc.DefaultSigmaVt
 	}
-	if len(r.Metrics) == 0 {
-		r.Metrics = []string{"hsnm", "rsnm", "wm"}
-	}
-	seen := map[string]bool{}
-	for _, m := range r.Metrics {
-		m = strings.ToLower(m)
-		switch m {
-		case "hsnm", "rsnm", "wm":
-			seen[m] = true
-		default:
-			return badRequest("unknown metric %q (want hsnm, rsnm or wm)", m)
-		}
+	metrics, err := mc.ParseMetrics(r.Metrics)
+	if err != nil {
+		return badRequest("%v", err)
 	}
 	// Canonical metric order is fixed, independent of request order.
-	ordered := make([]string, 0, 3)
-	for _, m := range []string{"hsnm", "rsnm", "wm"} {
-		if seen[m] {
-			ordered = append(ordered, m)
-		}
-	}
-	r.Metrics = ordered
+	r.Metrics = metrics.Names()
 	if r.Sampler == "" {
 		r.Sampler = "mc"
 	}
@@ -429,46 +414,31 @@ func (r *YieldRequest) key() string {
 }
 
 // config maps a normalized request onto the Monte Carlo configuration.
-func (r *YieldRequest) config() (sramco.MCConfig, error) {
+func (r *YieldRequest) config() (sramco.MCStreamConfig, error) {
 	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return sramco.MCConfig{}, err
-	}
-	var metrics mc.Metric
-	for _, m := range r.Metrics {
-		switch m {
-		case "hsnm":
-			metrics |= mc.HSNM
-		case "rsnm":
-			metrics |= mc.RSNM
-		case "wm":
-			metrics |= mc.WM
-		}
-	}
-	var sampler sramco.MCSampler
-	if r.Sampler != "" { // zero value (plain MC) for requests built in code
-		if sampler, err = sramco.ParseMCSampler(r.Sampler); err != nil {
-			return sramco.MCConfig{}, err
-		}
-	}
-	return sramco.MCConfig{
-		Flavor:  flavor,
-		N:       r.N,
-		Seed:    r.Seed,
-		SigmaVt: r.SigmaVt,
-		Metrics: metrics,
-		Sampler: sampler,
-		Tilt:    r.Tilt,
-	}, nil
-}
-
-// streamConfig maps a normalized request onto the streaming configuration.
-func (r *YieldRequest) streamConfig() (sramco.MCStreamConfig, error) {
-	cfg, err := r.config()
 	if err != nil {
 		return sramco.MCStreamConfig{}, err
 	}
-	return sramco.MCStreamConfig{Config: cfg, RelCI: r.RelCI}, nil
+	metrics, err := mc.ParseMetrics(r.Metrics)
+	if err != nil {
+		return sramco.MCStreamConfig{}, err
+	}
+	sampler, err := sramco.ParseMCSampler(r.Sampler)
+	if err != nil {
+		return sramco.MCStreamConfig{}, err
+	}
+	return sramco.MCStreamConfig{
+		Config: sramco.MCConfig{
+			Flavor:  flavor,
+			N:       r.N,
+			Seed:    r.Seed,
+			SigmaVt: r.SigmaVt,
+			Metrics: metrics,
+			Sampler: sampler,
+			Tilt:    r.Tilt,
+		},
+		RelCI: r.RelCI,
+	}, nil
 }
 
 func ptr[T any](v T) *T { return &v }

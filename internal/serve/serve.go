@@ -131,7 +131,6 @@ type Server struct {
 	// eval so tests can hold an evaluate fill open past the batch deadline.
 	optimizeFn    func(context.Context, sramco.Options) (*sramco.Optimum, error)
 	paretoFn      func(context.Context, sramco.Options) (*sramco.ParetoResult, error)
-	yieldFn       func(context.Context, sramco.MCConfig) (*sramco.MCResult, error)
 	yieldStreamFn func(context.Context, sramco.MCStreamConfig, func(sramco.MCCheckpoint) error) (*sramco.MCStreamResult, error)
 	evalHook      func()
 }
@@ -141,16 +140,15 @@ func New(fw *sramco.Framework, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	baseCtx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
-		fw:         fw,
-		cfg:        cfg,
-		cache:      newLRUCache(cfg.CacheSize),
-		flight:     newFlightGroup(),
-		sem:        make(chan struct{}, cfg.Workers),
-		baseCtx:    baseCtx,
-		baseCancel: cancel,
+		fw:            fw,
+		cfg:           cfg,
+		cache:         newLRUCache(cfg.CacheSize),
+		flight:        newFlightGroup(),
+		sem:           make(chan struct{}, cfg.Workers),
+		baseCtx:       baseCtx,
+		baseCancel:    cancel,
 		optimizeFn:    fw.OptimizeWithContext,
 		paretoFn:      fw.ParetoSearchContext,
-		yieldFn:       sramco.MonteCarloYieldContext,
 		yieldStreamFn: sramco.MonteCarloYieldStream,
 	}
 	s.mux = http.NewServeMux()
@@ -503,8 +501,8 @@ type YieldResponse struct {
 	DeltaV       float64 `json:"delta_v"`
 	FailFraction float64 `json:"fail_fraction"`
 
-	// Streaming-estimator extras, present when the request set rel_ci or a
-	// tilt: convergence state and the Wilson 95% bounds on the fail fraction.
+	// Converged is set when the run stopped early inside rel_ci; FailLo and
+	// FailHi are the Wilson 95% bounds on the fail fraction.
 	Converged bool     `json:"converged,omitempty"`
 	FailLo    *float64 `json:"fail_ci_lo,omitempty"`
 	FailHi    *float64 `json:"fail_ci_hi,omitempty"`
@@ -526,55 +524,20 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	timeoutMS := req.TimeoutMS
 	req.TimeoutMS = 0
 	s.serveCached(w, r, req.key(), timeoutMS, func(ctx context.Context) (any, error) {
-		if req.RelCI > 0 || req.Tilt > 1 {
-			return s.yieldStreamResult(ctx, req)
-		}
-		cfg, err := req.config()
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.yieldFn(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		resp := &YieldResponse{
-			Request:       req,
-			Samples:       len(res.Samples),
-			MuMinus3Sigma: map[string]float64{},
-			DeltaV:        sramco.Delta(),
-			FailFraction:  res.FailFraction(sramco.Delta()),
-		}
-		if cfg.Metrics&mc.HSNM != 0 {
-			s := res.HSNM
-			resp.HSNM = &s
-			resp.MuMinus3Sigma["hsnm"] = mc.MuMinusKSigma(s, 3)
-		}
-		if cfg.Metrics&mc.RSNM != 0 {
-			s := res.RSNM
-			resp.RSNM = &s
-			resp.MuMinus3Sigma["rsnm"] = mc.MuMinusKSigma(s, 3)
-		}
-		if cfg.Metrics&mc.WM != 0 {
-			s := res.WM
-			resp.WM = &s
-			resp.MuMinus3Sigma["wm"] = mc.MuMinusKSigma(s, 3)
-		}
-		return resp, nil
+		return s.yieldResult(ctx, req)
 	})
 }
 
-// yieldStreamResult fills a non-streaming /v1/yield request through the
-// streaming engine, used whenever the request asks for estimator features
-// the fixed-N path does not have (early stop on rel_ci, importance tilt).
-// Raw-value summaries describe the drawn distribution; μ−3σ and the fail
-// fraction come from the weighted checkpoint estimators.
-func (s *Server) yieldStreamResult(ctx context.Context, req YieldRequest) (any, error) {
-	scfg, err := req.streamConfig()
+// yieldResult fills a non-streaming /v1/yield request: one engine run with
+// no checkpoint sink, answered from its final checkpoint. Raw-value
+// summaries describe the drawn distribution; μ−3σ and the fail fraction
+// come from the weighted checkpoint estimators.
+func (s *Server) yieldResult(ctx context.Context, req YieldRequest) (any, error) {
+	cfg, err := req.config()
 	if err != nil {
 		return nil, err
 	}
-	scfg.KeepValues = true
-	res, err := s.yieldStreamFn(ctx, scfg, nil)
+	res, err := s.yieldStreamFn(ctx, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -589,24 +552,16 @@ func (s *Server) yieldStreamResult(ctx context.Context, req YieldRequest) (any, 
 		FailLo:        &final.FailLo,
 		FailHi:        &final.FailHi,
 	}
-	summarize := func(m mc.Metric) *num.Summary {
-		vals := res.Values[m]
-		if len(vals) == 0 {
-			return nil
-		}
-		sum := num.Summarize(vals)
-		return &sum
-	}
 	if final.HSNM != nil {
-		resp.HSNM = summarize(mc.HSNM)
+		resp.HSNM = ptr(mc.Summarize(res.Samples, mc.HSNM))
 		resp.MuMinus3Sigma["hsnm"] = final.HSNM.Mu3
 	}
 	if final.RSNM != nil {
-		resp.RSNM = summarize(mc.RSNM)
+		resp.RSNM = ptr(mc.Summarize(res.Samples, mc.RSNM))
 		resp.MuMinus3Sigma["rsnm"] = final.RSNM.Mu3
 	}
 	if final.WM != nil {
-		resp.WM = summarize(mc.WM)
+		resp.WM = ptr(mc.Summarize(res.Samples, mc.WM))
 		resp.MuMinus3Sigma["wm"] = final.WM.Mu3
 	}
 	return resp, nil
@@ -638,7 +593,7 @@ func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req Y
 	}
 	defer s.release()
 
-	scfg, err := req.streamConfig()
+	cfg, err := req.config()
 	if err != nil {
 		writeError(w, badRequest("%v", err))
 		return
@@ -648,7 +603,7 @@ func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req Y
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	_, err = s.yieldStreamFn(ctx, scfg, func(cp sramco.MCCheckpoint) error {
+	_, err = s.yieldStreamFn(ctx, cfg, func(cp sramco.MCCheckpoint) error {
 		if err := enc.Encode(cp); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	"sramco"
+	"sramco/internal/mc"
+	"sramco/internal/num"
 	"sramco/internal/obs"
 )
 
@@ -402,6 +405,51 @@ func TestYieldEndpoint(t *testing.T) {
 	// Request order "wm","hsnm" canonicalizes to the fixed order.
 	if got := strings.Join(resp.Request.Metrics, ","); got != "hsnm,wm" {
 		t.Errorf("canonical metrics = %q, want hsnm,wm", got)
+	}
+}
+
+// TestYieldFixedNMatchesRun pins the plain fixed-N /v1/yield body against
+// mc.Run of the same config: the sample count, raw summaries and
+// fail_fraction are exact, mu_minus_3sigma (the Welford estimate of the
+// final checkpoint) is within rounding of the num.Summarize μ−3σ, and the
+// Wilson fail CI brackets the fail fraction.
+func TestYieldFixedNMatchesRun(t *testing.T) {
+	s := New(framework(t), Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, _, body := postJSON(t, ts.URL+"/v1/yield",
+		`{"flavor":"hvt","n":24,"seed":3,"metrics":["rsnm","hsnm"],"sampler":"lhs"}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d, body %s", code, body)
+	}
+	var resp YieldResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	run, err := mc.Run(mc.Config{Flavor: sramco.HVT, N: 24, Seed: 3, Metrics: mc.HSNM | mc.RSNM, Sampler: mc.SamplerLHS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Samples != len(run.Samples) {
+		t.Errorf("samples = %d, want %d", resp.Samples, len(run.Samples))
+	}
+	if resp.HSNM == nil || *resp.HSNM != run.HSNM || resp.RSNM == nil || *resp.RSNM != run.RSNM || resp.WM != nil {
+		t.Errorf("summaries %+v/%+v/%+v, want %+v/%+v/nil", resp.HSNM, resp.RSNM, resp.WM, run.HSNM, run.RSNM)
+	}
+	if want := run.FailFraction(sramco.Delta()); resp.FailFraction != want {
+		t.Errorf("fail_fraction = %g, want %g", resp.FailFraction, want)
+	}
+	for name, sum := range map[string]num.Summary{"hsnm": run.HSNM, "rsnm": run.RSNM} {
+		if d := math.Abs(resp.MuMinus3Sigma[name] - mc.MuMinusKSigma(sum, 3)); !(d <= 1e-12) {
+			t.Errorf("mu_minus_3sigma[%s] = %g, %g from the plain summary", name, resp.MuMinus3Sigma[name], d)
+		}
+	}
+	if resp.FailLo == nil || resp.FailHi == nil || !(*resp.FailLo <= resp.FailFraction && resp.FailFraction <= *resp.FailHi) {
+		t.Errorf("fail CI [%v, %v] missing or not bracketing %g", resp.FailLo, resp.FailHi, resp.FailFraction)
+	}
+	if resp.Converged {
+		t.Error("fixed-N run reported converged")
 	}
 }
 

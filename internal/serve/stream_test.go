@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,8 +17,9 @@ import (
 )
 
 // fakeStream installs a yieldStreamFn stub that emits the given checkpoints
-// and returns a result built from the last one, counting invocations.
-func fakeStream(s *Server, cps []sramco.MCCheckpoint, values map[mc.Metric][]float64, fail error) *atomic.Int64 {
+// and returns a result built from the last one and the given samples,
+// counting invocations.
+func fakeStream(s *Server, cps []sramco.MCCheckpoint, samples []mc.Sample, fail error) *atomic.Int64 {
 	var calls atomic.Int64
 	s.yieldStreamFn = func(ctx context.Context, cfg sramco.MCStreamConfig, emit func(sramco.MCCheckpoint) error) (*sramco.MCStreamResult, error) {
 		calls.Add(1)
@@ -35,7 +37,7 @@ func fakeStream(s *Server, cps []sramco.MCCheckpoint, values map[mc.Metric][]flo
 			Config:      cfg,
 			Final:       cps[len(cps)-1],
 			Checkpoints: len(cps),
-			Values:      values,
+			Samples:     samples,
 		}, nil
 	}
 	return &calls
@@ -160,7 +162,9 @@ func TestYieldRelCIRoutesThroughStreamEngine(t *testing.T) {
 		Converged:    true,
 		Final:        true,
 	}
-	calls := fakeStream(s, []sramco.MCCheckpoint{cp}, map[mc.Metric][]float64{mc.WM: {0.18, 0.2, 0.22}}, nil)
+	nan := math.NaN()
+	samples := []mc.Sample{{HSNM: nan, RSNM: nan, WM: 0.18}, {HSNM: nan, RSNM: nan, WM: 0.2}, {HSNM: nan, RSNM: nan, WM: 0.22}}
+	calls := fakeStream(s, []sramco.MCCheckpoint{cp}, samples, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
