@@ -27,11 +27,7 @@ func (c *Cell) BLDischargeDelay(b ReadBias, cBL, deltaV float64) (float64, error
 	ckt.AddV("vblb", "BLB", circuit.Ground, circuit.DC(b.Vdd))
 	// The bitline floats on its capacitance, precharged to Vdd.
 	ckt.AddC("cbl", "BL", circuit.Ground, cBL)
-	c.addHalf(ckt, 0, "QB", "Q", "CVDD", "CVSS", "BL", "WL")
-	c.addHalf(ckt, 1, "Q", "QB", "CVDD", "CVSS", "BLB", "WL")
-	cq := c.StorageNodeCap()
-	ckt.AddC("cq", "Q", circuit.Ground, cq)
-	ckt.AddC("cqb", "QB", circuit.Ground, cq)
+	c.addCell(ckt)
 	ckt.SetIC("Q", b.VSSC)
 	ckt.SetIC("QB", b.VDDC)
 	ckt.SetIC("BL", b.Vdd)

@@ -105,6 +105,18 @@ func (c *Cell) addHalf(ckt *circuit.Circuit, side int, in, out, cvdd, cvss, bl, 
 	ckt.AddFET(circuit.FET{Name: "ax" + out, Model: c.n(), Fins: 1, DVt: c.DVt[base+AXL], D: bl, G: wl, S: out})
 }
 
+// addCell adds the complete 6T cell — both halves on storage nodes Q/QB,
+// rails CVDD/CVSS, bitlines BL/BLB, wordline WL — plus the storage-node
+// capacitances cq/cqb. The capacitors are open circuits in DC, so operating
+// points do not see them; transients do.
+func (c *Cell) addCell(ckt *circuit.Circuit) {
+	c.addHalf(ckt, 0, "QB", "Q", "CVDD", "CVSS", "BL", "WL")
+	c.addHalf(ckt, 1, "Q", "QB", "CVDD", "CVSS", "BLB", "WL")
+	cq := c.StorageNodeCap()
+	ckt.AddC("cq", "Q", circuit.Ground, cq)
+	ckt.AddC("cqb", "QB", circuit.Ground, cq)
+}
+
 // fullCell builds the complete 6T cell with independently forced rails.
 // Returned circuit has sources: vcvdd, vcvss, vwl, vbl, vblb.
 func (c *Cell) fullCell(cvdd, cvss, vwl, vbl, vblb float64) *circuit.Circuit {
@@ -114,8 +126,7 @@ func (c *Cell) fullCell(cvdd, cvss, vwl, vbl, vblb float64) *circuit.Circuit {
 	ckt.AddV("vwl", "WL", circuit.Ground, circuit.DC(vwl))
 	ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(vbl))
 	ckt.AddV("vblb", "BLB", circuit.Ground, circuit.DC(vblb))
-	c.addHalf(ckt, 0, "QB", "Q", "CVDD", "CVSS", "BL", "WL")
-	c.addHalf(ckt, 1, "Q", "QB", "CVDD", "CVSS", "BLB", "WL")
+	c.addCell(ckt)
 	return ckt
 }
 

@@ -13,3 +13,12 @@ var (
 	mWriteTrips     = obs.NewCounter("cell.write.trip_searches")
 	mRailProbes     = obs.NewCounter("cell.rail.search_probes")
 )
+
+// endSpan closes sp, tagging it with the error when the measurement failed,
+// so failed probes and write-fail samples still show up in a trace.
+func endSpan(sp *obs.Span, err error) {
+	if err != nil && sp.On() {
+		sp.Str("err", err.Error())
+	}
+	sp.End()
+}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"sramco/internal/circuit"
 	"sramco/internal/num"
-	"sramco/internal/obs"
 )
 
 // vtcPoints is the sweep resolution used for butterfly curves.
@@ -20,34 +18,6 @@ type VTC struct {
 // interp returns a linear interpolant over the curve (clamping at the ends
 // via flat extension, achieved by evaluating within the hull only).
 func (v *VTC) interp() (num.Interp1D, error) { return num.NewLinear1D(v.X, v.Y) }
-
-// halfVTC sweeps the input of one half-cell (inverter + access transistor
-// loading) and records the output, under explicit rail voltages.
-//
-// side selects which physical half (0 = left: output Q; 1 = right: output
-// QB) so that per-transistor variation lands on the right devices.
-func (c *Cell) halfVTC(side int, cvdd, cvss, bl, wl float64, lo, hi float64) (*VTC, error) {
-	ckt := circuit.New()
-	ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(cvdd))
-	ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(cvss))
-	ckt.AddV("vwl", "WL", circuit.Ground, circuit.DC(wl))
-	ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(bl))
-	ckt.AddV("vin", "IN", circuit.Ground, circuit.DC(lo))
-	c.addHalf(ckt, side, "IN", "OUT", "CVDD", "CVSS", "BL", "WL")
-	ckt.SetIC("OUT", cvdd)
-
-	mVTCSweeps.Inc()
-	xs := num.Linspace(lo, hi, vtcPoints)
-	rs, err := ckt.DCSweep("vin", xs)
-	if err != nil {
-		return nil, fmt.Errorf("cell: VTC sweep (side %d): %w", side, err)
-	}
-	ys := make([]float64, len(rs))
-	for i, r := range rs {
-		ys[i] = r.V("OUT")
-	}
-	return &VTC{X: xs, Y: ys}, nil
-}
 
 // flip mirrors a VTC across the diagonal: the curve x = f(y) becomes
 // y = f⁻¹(x), resampled with strictly increasing x.
@@ -124,74 +94,45 @@ func maxSquare(up, low num.Interp1D, lo, hi float64) float64 {
 	return best
 }
 
-// holdButterfly builds the butterfly of the cell in hold (WL = 0, rails
-// nominal, BLs precharged to vdd).
-func (c *Cell) holdButterfly(vdd float64) (*Butterfly, error) {
-	a, err := c.halfVTC(0, vdd, 0, vdd, 0, 0, vdd)
-	if err != nil {
-		return nil, err
-	}
-	bRaw, err := c.halfVTC(1, vdd, 0, vdd, 0, 0, vdd)
-	if err != nil {
-		return nil, err
-	}
-	return &Butterfly{A: a, B: bRaw.flip()}, nil
-}
-
-// readButterfly builds the butterfly during a read access: both access
-// transistors on at VWL, both bitlines clamped at Vdd, rails at VDDC/VSSC.
-func (c *Cell) readButterfly(b ReadBias) (*Butterfly, error) {
-	lo, hi := math.Min(b.VSSC, 0), math.Max(b.VDDC, b.Vdd)
-	a, err := c.halfVTC(0, b.VDDC, b.VSSC, b.Vdd, b.VWL, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	bRaw, err := c.halfVTC(1, b.VDDC, b.VSSC, b.Vdd, b.VWL, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return &Butterfly{A: a, B: bRaw.flip()}, nil
-}
+// The Cell methods below are a fresh Scratch: one netlist builder, one
+// butterfly and one SNM extraction serve characterization and Monte Carlo
+// alike.
 
 // HoldButterfly returns the two branches of the hold-state butterfly for
 // plotting or export (cmd/cellchar -butterfly).
-func (c *Cell) HoldButterfly(vdd float64) (*Butterfly, error) { return c.holdButterfly(vdd) }
+func (c *Cell) HoldButterfly(vdd float64) (*Butterfly, error) {
+	s, err := NewScratch(c)
+	if err != nil {
+		return nil, err
+	}
+	return s.holdButterfly(c.DVt, vdd)
+}
 
 // ReadButterfly returns the two branches of the read-access butterfly under
 // the given assist bias.
-func (c *Cell) ReadButterfly(b ReadBias) (*Butterfly, error) { return c.readButterfly(b) }
+func (c *Cell) ReadButterfly(b ReadBias) (*Butterfly, error) {
+	s, err := NewScratch(c)
+	if err != nil {
+		return nil, err
+	}
+	return s.readButterfly(c.DVt, b)
+}
 
 // HoldSNM returns the hold static noise margin (paper Fig. 2(a)).
 func (c *Cell) HoldSNM(vdd float64) (float64, error) {
-	sp := obs.StartSpan("cell.hold_snm")
-	mSNMExtractions.Inc()
-	bf, err := c.holdButterfly(vdd)
+	s, err := NewScratch(c)
 	if err != nil {
 		return 0, err
 	}
-	snm, err := bf.SNM()
-	if err == nil {
-		sp.Float("snm", snm)
-		sp.End()
-	}
-	return snm, err
+	return s.HoldSNM(c.DVt, vdd)
 }
 
 // ReadSNM returns the read static noise margin under the given assist bias
 // (paper Figs. 3(a)-(d)).
 func (c *Cell) ReadSNM(b ReadBias) (float64, error) {
-	sp := obs.StartSpan("cell.read_snm")
-	mSNMExtractions.Inc()
-	bf, err := c.readButterfly(b)
+	s, err := NewScratch(c)
 	if err != nil {
 		return 0, err
 	}
-	snm, err := bf.SNM()
-	if err == nil {
-		sp.Float("vddc", b.VDDC)
-		sp.Float("vssc", b.VSSC)
-		sp.Float("snm", snm)
-		sp.End()
-	}
-	return snm, err
+	return s.ReadSNM(c.DVt, b)
 }

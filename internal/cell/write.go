@@ -16,86 +16,16 @@ import (
 // infrastructure errors with errors.Is.
 var ErrWriteFail = errors.New("write margin ≤ 0")
 
-// WriteTripWL returns the minimum wordline voltage that flips a cell holding
-// '1' on Q when BL is driven to b.VBL (writing a '0'). The paper defines the
-// write margin relative to this trip point.
-//
-// Flip detection is transient (dynamic): the DC problem is singular exactly
-// at the trip fold, so each probe applies the wordline level to the cell
-// with its storage nodes loaded by their physical capacitances and checks
-// whether the state flips within a generous settling window.
-func (c *Cell) WriteTripWL(b WriteBias) (float64, error) {
-	sp := obs.StartSpan("cell.write_trip")
-	mWriteTrips.Inc()
-	probes := 0
-	flips := func(vwl float64) (bool, error) {
-		probes++
-		mWriteProbes.Inc()
-		ckt := circuit.New()
-		ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(b.Vdd))
-		ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(0))
-		ckt.AddV("vwl", "WL", circuit.Ground, circuit.DC(vwl))
-		ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(b.VBL))
-		ckt.AddV("vblb", "BLB", circuit.Ground, circuit.DC(b.Vdd))
-		c.addHalf(ckt, 0, "QB", "Q", "CVDD", "CVSS", "BL", "WL")
-		c.addHalf(ckt, 1, "Q", "QB", "CVDD", "CVSS", "BLB", "WL")
-		cq := c.StorageNodeCap()
-		ckt.AddC("cq", "Q", circuit.Ground, cq)
-		ckt.AddC("cqb", "QB", circuit.Ground, cq)
-		ckt.SetIC("Q", b.Vdd)
-		ckt.SetIC("QB", 0)
-		res, err := ckt.Transient(circuit.TranOpts{TStop: 300e-12, DT: 0.5e-12, UIC: true})
-		if err != nil {
-			return false, err
-		}
-		return res.Final("Q") < res.Final("QB"), nil
-	}
-	lo, hi := 0.0, b.VWL
-	fl, err := flips(lo)
-	if err != nil {
-		return 0, fmt.Errorf("cell: write trip at WL=0: %w", err)
-	}
-	if fl {
-		sp.Int("probes", int64(probes))
-		sp.Float("trip", 0)
-		sp.End()
-		return 0, nil // flips even with WL off — degenerate
-	}
-	fh, err := flips(hi)
-	if err != nil {
-		return 0, fmt.Errorf("cell: write trip at WL=%g: %w", hi, err)
-	}
-	if !fh {
-		return 0, fmt.Errorf("cell: write fails even at WL=%gV: %w", hi, ErrWriteFail)
-	}
-	for i := 0; i < 28; i++ {
-		mid := 0.5 * (lo + hi)
-		fm, err := flips(mid)
-		if err != nil {
-			return 0, fmt.Errorf("cell: write trip at WL=%g: %w", mid, err)
-		}
-		if fm {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	trip := 0.5 * (lo + hi)
-	sp.Int("probes", int64(probes))
-	sp.Float("trip", trip)
-	sp.End()
-	return trip, nil
-}
-
 // WriteMargin returns the write margin under bias b: the applied wordline
 // voltage minus the minimum wordline voltage needed to flip the cell
-// (paper §3.2; at VWL = Vdd this is exactly the paper's WM definition).
+// (paper §3.2; at VWL = Vdd this is exactly the paper's WM definition). The
+// trip point is bisected with a fixed 28 halvings.
 func (c *Cell) WriteMargin(b WriteBias) (float64, error) {
-	trip, err := c.WriteTripWL(b)
+	s, err := NewScratch(c)
 	if err != nil {
 		return 0, err
 	}
-	return b.VWL - trip, nil
+	return s.writeMargin(c.DVt, b, charTripHalvings, 0)
 }
 
 // WriteDelay returns the cell-level write delay (s): the time from the
@@ -108,17 +38,8 @@ func (c *Cell) WriteDelay(b WriteBias) (float64, error) {
 		tStop  = 60e-12 // simulation window
 		dt     = 0.05e-12
 	)
-	ckt := circuit.New()
-	ckt.AddV("vcvdd", "CVDD", circuit.Ground, circuit.DC(b.Vdd))
-	ckt.AddV("vcvss", "CVSS", circuit.Ground, circuit.DC(0))
-	ckt.AddV("vwl", "WL", circuit.Ground, circuit.Step(0, b.VWL, tStart, tRise))
-	ckt.AddV("vbl", "BL", circuit.Ground, circuit.DC(b.VBL))
-	ckt.AddV("vblb", "BLB", circuit.Ground, circuit.DC(b.Vdd))
-	c.addHalf(ckt, 0, "QB", "Q", "CVDD", "CVSS", "BL", "WL")
-	c.addHalf(ckt, 1, "Q", "QB", "CVDD", "CVSS", "BLB", "WL")
-	cq := c.StorageNodeCap()
-	ckt.AddC("cq", "Q", circuit.Ground, cq)
-	ckt.AddC("cqb", "QB", circuit.Ground, cq)
+	ckt := c.fullCell(b.Vdd, 0, 0, b.VBL, b.Vdd)
+	ckt.SetV("vwl", circuit.Step(0, b.VWL, tStart, tRise))
 	ckt.SetIC("Q", b.Vdd)
 	ckt.SetIC("QB", 0)
 

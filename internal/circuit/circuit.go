@@ -134,13 +134,21 @@ func (c *Circuit) AddV(name, a, b string, w Waveform) {
 // SetV replaces the waveform of an existing voltage source, allowing one
 // netlist to be re-solved under different bias points.
 func (c *Circuit) SetV(name string, w Waveform) {
+	v := c.vsource(name)
+	if v == nil {
+		panic(fmt.Sprintf("circuit: SetV: no voltage source %q", name))
+	}
+	v.wave = w
+}
+
+// vsource returns the named voltage source, or nil.
+func (c *Circuit) vsource(name string) *vsource {
 	for _, v := range c.vsrc {
 		if v.name == name {
-			v.wave = w
-			return
+			return v
 		}
 	}
-	panic(fmt.Sprintf("circuit: SetV: no voltage source %q", name))
+	return nil
 }
 
 // SetFETDVt replaces the per-instance threshold shift of an existing FET,
@@ -179,18 +187,13 @@ func (c *Circuit) SetIC(node string, v float64) {
 	c.ic[node] = v
 }
 
-// ClearICs removes all initial conditions.
-func (c *Circuit) ClearICs() {
-	for k := range c.ic {
-		delete(c.ic, k)
+// initialGuessInto fills x (len ≥ dim) with the starting unknown vector
+// (node voltages at index node-1, then source branch currents) from ICs;
+// sources pin their nodes when directly grounded, which speeds convergence.
+func (c *Circuit) initialGuessInto(x []float64, t float64) {
+	for i := range x {
+		x[i] = 0
 	}
-}
-
-// initialGuess builds the starting unknown vector (node voltages at index
-// node-1, then source branch currents) from ICs; sources pin their nodes
-// when directly grounded, which speeds convergence.
-func (c *Circuit) initialGuess(t float64, dim int) []float64 {
-	x := make([]float64, dim)
 	for _, v := range c.vsrc {
 		if v.b == 0 && v.a != 0 {
 			x[v.a-1] = v.wave.At(t)
@@ -204,5 +207,4 @@ func (c *Circuit) initialGuess(t float64, dim int) []float64 {
 			x[i-1] = vv
 		}
 	}
-	return x
 }

@@ -357,7 +357,8 @@ func (as *assembler) result(x []float64) *DCResult {
 func (c *Circuit) DCOperatingPoint() (*DCResult, error) {
 	start := time.Now()
 	as := newAssembler(c)
-	x0 := c.initialGuess(0, as.dim)
+	x0 := make([]float64, as.dim)
+	c.initialGuessInto(x0, 0)
 	x, err := as.solveRobust(x0, 0, nil)
 	mDCOps.Inc()
 	hDCOpDur.Observe(time.Since(start))
@@ -369,38 +370,94 @@ func (c *Circuit) DCOperatingPoint() (*DCResult, error) {
 
 // DCSweep solves the operating point for each value of the named voltage
 // source, using continuation (each solution seeds the next). The source's
-// waveform is restored afterwards.
+// waveform is restored afterwards. It is a Sweeper run that records every
+// point.
 func (c *Circuit) DCSweep(source string, values []float64) ([]*DCResult, error) {
-	var src *vsource
-	for _, v := range c.vsrc {
-		if v.name == source {
-			src = v
-			break
-		}
-	}
+	src := c.vsource(source)
 	if src == nil {
 		return nil, fmt.Errorf("circuit: DCSweep: no voltage source %q", source)
 	}
-	orig := src.wave
-	defer func() { src.wave = orig }()
+	s := c.newSweeper(src, 0)
+	results := make([]*DCResult, 0, len(values))
+	err := s.run(values, func(_ int, x []float64) { results = append(results, s.as.result(x)) })
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// Sweeper is the DC-sweep engine, bound to one circuit, one swept voltage
+// source, and one observed node. DCSweep is a Sweeper run that records every
+// point, so Sweep reports exactly the voltages DCSweep would for the node by
+// construction. The Newton workspace is reused across calls and Sweep never
+// materializes per-point DCResult maps: the Monte Carlo scratch path sweeps
+// the same two VTC netlists tens of thousands of times, and this is its hot
+// loop.
+type Sweeper struct {
+	c    *Circuit
+	src  *vsource
+	node int
+	as   *assembler
+	x    []float64 // continuation state, reused across calls
+}
+
+// NewSweeper binds a sweeper to the named voltage source and observed node.
+// The circuit's topology must not change afterwards (SetV, SetIC, and
+// SetFETDVt are fine; Add* are not).
+func (c *Circuit) NewSweeper(source, node string) (*Sweeper, error) {
+	src := c.vsource(source)
+	if src == nil {
+		return nil, fmt.Errorf("circuit: NewSweeper: no voltage source %q", source)
+	}
+	ni, ok := c.nodeIndex[node]
+	if !ok {
+		return nil, fmt.Errorf("circuit: NewSweeper: no node %q", node)
+	}
+	return c.newSweeper(src, ni), nil
+}
+
+func (c *Circuit) newSweeper(src *vsource, node int) *Sweeper {
+	as := newAssembler(c)
+	return &Sweeper{c: c, src: src, node: node, as: as, x: make([]float64, as.dim)}
+}
+
+// Sweep solves the operating point at each source value with continuation and
+// stores the observed node's voltage in out[i]. out must have len(values).
+// The source's waveform is restored afterwards.
+func (s *Sweeper) Sweep(values []float64, out []float64) error {
+	if len(out) != len(values) {
+		return fmt.Errorf("circuit: Sweep: len(out)=%d, len(values)=%d", len(out), len(values))
+	}
+	return s.run(values, func(i int, x []float64) { out[i] = nodeV(x, s.node) })
+}
+
+// run is the continuation loop: it solves each point from the previous
+// solution and hands point i's unknown vector to the hook, which must not
+// retain it.
+func (s *Sweeper) run(values []float64, point func(i int, x []float64)) error {
+	orig := s.src.wave
+	defer func() { s.src.wave = orig }()
 
 	sp := obs.StartSpan("circuit.dc_sweep")
-	as := newAssembler(c)
-	results := make([]*DCResult, 0, len(values))
-	x := c.initialGuess(0, as.dim)
+	sp.Str("source", s.src.name)
+	// Fresh initial guess per call: continuation state must not leak across
+	// Monte Carlo samples, or results would depend on evaluation order.
+	x := s.x
+	s.c.initialGuessInto(x, 0)
 	for i, val := range values {
-		src.wave = DC(val)
-		xn, err := as.solveRobust(x, 0, nil)
+		s.src.wave = DC(val)
+		xn, err := s.as.solveRobust(x, 0, nil)
 		if err != nil {
 			mDCSweepPoints.Add(int64(i))
-			return nil, fmt.Errorf("circuit: DCSweep %s=%g (point %d): %w", source, val, i, err)
+			err = fmt.Errorf("circuit: DCSweep %s=%g (point %d): %w", s.src.name, val, i, err)
+			endSpan(&sp, err)
+			return err
 		}
-		x = xn
-		results = append(results, as.result(x))
+		copy(x, xn)
+		point(i, x)
 	}
 	mDCSweepPoints.Add(int64(len(values)))
-	sp.Str("source", source)
 	sp.Int("points", int64(len(values)))
 	sp.End()
-	return results, nil
+	return nil
 }

@@ -25,3 +25,12 @@ var (
 	hTranDur = obs.NewHistogram("circuit.tran.duration")
 	hDCOpDur = obs.NewHistogram("circuit.dc.op_duration")
 )
+
+// endSpan closes sp, tagging it with the error when the analysis failed, so
+// failed solves still account for their wall time in a trace.
+func endSpan(sp *obs.Span, err error) {
+	if err != nil && sp.On() {
+		sp.Str("err", err.Error())
+	}
+	sp.End()
+}

@@ -110,3 +110,38 @@ func TestTransientSpanReconciles(t *testing.T) {
 		t.Errorf("span duration %v, want > 0", span.Dur)
 	}
 }
+
+// TestFailedAnalysesEndSpans proves a failed DC sweep or transient still
+// emits its span, tagged with the error, so a trace accounts for the wall
+// time the failed solve spent. Two sources forcing different voltages onto
+// one node leave the MNA Jacobian singular at every Newton fallback.
+func TestFailedAnalysesEndSpans(t *testing.T) {
+	col := &obs.CollectorSink{}
+	prev := obs.SetSink(col)
+	defer obs.SetSink(prev)
+
+	c := New()
+	c.AddV("v1", "a", Ground, DC(1))
+	c.AddV("v2", "a", Ground, DC(2))
+	c.AddR("r", "a", Ground, 1e3)
+	if _, err := c.DCSweep("v1", []float64{0, 1}); err == nil {
+		t.Fatal("DCSweep of a source loop succeeded")
+	}
+	if _, err := c.Transient(TranOpts{TStop: 1e-12, DT: 1e-13}); err == nil {
+		t.Fatal("Transient of a source loop succeeded")
+	}
+	for _, name := range []string{"circuit.dc_sweep", "circuit.transient"} {
+		found := false
+		for _, ev := range col.Events() {
+			if ev.Name != name {
+				continue
+			}
+			for _, a := range ev.Attrs {
+				found = found || (a.Key == "err" && a.S != "")
+			}
+		}
+		if !found {
+			t.Errorf("no %s span with an err attribute emitted for a failed analysis", name)
+		}
+	}
+}

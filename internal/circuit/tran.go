@@ -100,58 +100,108 @@ type TranOpts struct {
 
 // Transient runs a backward-Euler transient analysis. Each step solves the
 // nonlinear companion system with the robust Newton strategy; on failure the
-// step is recursively halved (up to 12 levels) before giving up.
+// step is recursively halved (up to 12 levels) before giving up. It is a
+// TranRunner run that records the waveform of every node.
 func (c *Circuit) Transient(opts TranOpts) (*TranResult, error) {
+	tr := c.NewTranRunner()
+	nn := tr.as.nn
+	res := &TranResult{names: make(map[string]int, nn), volts: make([][]float64, nn)}
+	for i, name := range c.nodeNames {
+		res.names[name] = i
+	}
+	err := tr.run(opts, func(t float64, x []float64) {
+		res.Times = append(res.Times, t)
+		for n := range res.volts {
+			res.volts[n] = append(res.volts[n], nodeV(x, n))
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// TranRunner is the transient engine, bound to one circuit. Transient is a
+// TranRunner run that records every step, so Run lands on exactly the final
+// state Transient reports by construction. Run itself records no waveforms —
+// only the final state survives, which is all the write-margin trip test
+// needs — and reuses the Newton workspace across runs.
+type TranRunner struct {
+	c  *Circuit
+	as *assembler
+	x  []float64 // state of the current step; the final state after Run
+}
+
+// NewTranRunner binds a transient runner to the circuit. The circuit's
+// topology must not change afterwards.
+func (c *Circuit) NewTranRunner() *TranRunner {
+	as := newAssembler(c)
+	return &TranRunner{c: c, as: as, x: make([]float64, as.dim)}
+}
+
+// Run executes the transient analysis, keeping only the final state. Query it
+// with FinalV.
+func (tr *TranRunner) Run(opts TranOpts) error { return tr.run(opts, nil) }
+
+// run is the backward-Euler stepping loop. record, when non-nil, sees the
+// state at t = 0 and after every step; it must not retain x.
+func (tr *TranRunner) run(opts TranOpts, record func(t float64, x []float64)) error {
 	if opts.TStop <= 0 || opts.DT <= 0 {
-		return nil, fmt.Errorf("circuit: Transient requires positive TStop and DT (got %g, %g)", opts.TStop, opts.DT)
+		return fmt.Errorf("circuit: Transient requires positive TStop and DT (got %g, %g)", opts.TStop, opts.DT)
 	}
 	start := time.Now()
 	sp := obs.StartSpan("circuit.transient")
 	mTranRuns.Inc()
-	as := newAssembler(c)
-	var x []float64
-	if opts.UIC {
-		x = c.initialGuess(0, as.dim)
-	} else {
-		var err error
-		x, err = as.solveRobust(c.initialGuess(0, as.dim), 0, nil)
+	as := tr.as
+	as.halvings = 0
+	x := tr.x
+	tr.c.initialGuessInto(x, 0)
+	if !opts.UIC {
+		xn, err := as.solveRobust(x, 0, nil)
 		if err != nil {
-			return nil, fmt.Errorf("circuit: transient initial operating point: %w", err)
+			err = fmt.Errorf("circuit: transient initial operating point: %w", err)
+			endSpan(&sp, err)
+			return err
 		}
+		copy(x, xn)
 	}
-
-	res := &TranResult{names: make(map[string]int, as.nn)}
-	for i, name := range c.nodeNames {
-		res.names[name] = i
+	if record != nil {
+		record(0, x)
 	}
-	res.volts = make([][]float64, as.nn)
-	record := func(t float64, x []float64) {
-		res.Times = append(res.Times, t)
-		for n := 0; n < as.nn; n++ {
-			res.volts[n] = append(res.volts[n], nodeV(x, n))
-		}
-	}
-	record(0, x)
 
 	t := 0.0
+	var steps int64
 	for t < opts.TStop-opts.DT*1e-9 {
 		dt := math.Min(opts.DT, opts.TStop-t)
-		xn, tn, err := c.step(as, x, t, dt, 0)
+		xn, tn, err := tr.c.step(as, x, t, dt, 0)
 		if err != nil {
 			mTranFails.Inc()
 			hTranDur.Observe(time.Since(start))
-			return nil, err
+			endSpan(&sp, err)
+			return err
 		}
-		x, t = xn, tn
-		record(t, x)
+		copy(x, xn)
+		t = tn
+		steps++
+		if record != nil {
+			record(t, x)
+		}
 	}
-	steps := int64(len(res.Times) - 1)
 	mTranSteps.Add(steps)
 	hTranDur.Observe(time.Since(start))
 	sp.Int("steps", steps)
 	sp.Int("halvings", as.halvings)
 	sp.End()
-	return res, nil
+	return nil
+}
+
+// FinalV returns the named node's voltage at the end of the last Run.
+func (tr *TranRunner) FinalV(node string) float64 {
+	i, ok := tr.c.nodeIndex[node]
+	if !ok {
+		panic(fmt.Sprintf("circuit: no node %q in transient result", node))
+	}
+	return nodeV(tr.x, i)
 }
 
 // step advances one (possibly subdivided) time step.

@@ -1,6 +1,6 @@
 // Package num provides the numerical kernels used throughout sramco:
-// dense linear algebra, scalar root finding, interpolation, minimization,
-// and summary statistics.
+// dense linear algebra, scalar root finding, interpolation, quasi-random
+// sequences, and summary statistics.
 //
 // The package is deliberately small and dependency-free. Circuit matrices in
 // this project are tiny (tens of unknowns), so a dense LU with partial
@@ -31,12 +31,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set stores v at element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Add accumulates v into element (i, j).
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
@@ -47,36 +41,11 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MulVec computes y = M·x. It panics if dimensions disagree.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("num: MulVec dim mismatch: %d×%d times %d", m.Rows, m.Cols, len(x)))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, a := range row {
-			s += a * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // LU holds an in-place LU factorization with partial pivoting.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // NewLU allocates factorization storage for n×n systems, for use with
@@ -86,32 +55,18 @@ func NewLU(n int) *LU {
 	if n < 0 {
 		panic(fmt.Sprintf("num: invalid LU size %d", n))
 	}
-	return &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	return &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 }
 
-// Factor computes the LU factorization of a square matrix. The input is not
-// modified. Factor returns ErrSingular if a pivot underflows the tolerance
-// relative to the matrix scale.
-func Factor(m *Matrix) (*LU, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("num: Factor requires square matrix, got %d×%d", m.Rows, m.Cols)
-	}
-	f := NewLU(m.Rows)
-	if err := f.Refactor(m); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Refactor recomputes the factorization of m into f's existing storage —
-// identical arithmetic to Factor, zero allocation. m must match the size f
-// was created with.
+// Refactor recomputes the factorization of m into f's existing storage with
+// zero allocation. The input is not modified. m must match the size f was
+// created with. Refactor returns ErrSingular if a pivot underflows the
+// tolerance relative to the matrix scale.
 func (f *LU) Refactor(m *Matrix) error {
 	if m.Rows != m.Cols || m.Rows != f.n {
 		return fmt.Errorf("num: Refactor size mismatch: LU n=%d, matrix %d×%d", f.n, m.Rows, m.Cols)
 	}
 	n := f.n
-	f.sign = 1
 	copy(f.lu, m.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -144,7 +99,6 @@ func (f *LU) Refactor(m *Matrix) error {
 				a[k*n+j], a[p*n+j] = a[p*n+j], a[k*n+j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := a[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -159,13 +113,6 @@ func (f *LU) Refactor(m *Matrix) error {
 		}
 	}
 	return nil
-}
-
-// Solve solves A·x = b using the factorization. b is not modified.
-func (f *LU) Solve(b []float64) []float64 {
-	x := make([]float64, f.n)
-	f.SolveInto(x, b)
-	return x
 }
 
 // SolveInto solves A·x = b into dst without allocating. dst and b must both
@@ -198,24 +145,6 @@ func (f *LU) SolveInto(dst, b []float64) {
 	}
 }
 
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
-// SolveLinear is a convenience wrapper: factor A and solve A·x = b.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
 // NormInf returns the infinity norm (max absolute value) of a vector.
 func NormInf(v []float64) float64 {
 	var m float64
@@ -225,13 +154,4 @@ func NormInf(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Norm2 returns the Euclidean norm of a vector.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

@@ -104,24 +104,3 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	}
 	return b, ErrNoConverge
 }
-
-// GoldenMin minimizes a unimodal function on [a, b] by golden-section search
-// to x-tolerance tol, returning the minimizing x.
-func GoldenMin(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949 // (sqrt(5)-1)/2
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for math.Abs(b-a) > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return 0.5 * (a + b)
-}
