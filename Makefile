@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzConfigNormalize -fuzztime=$(FUZZTIME) ./internal/mc/
 	$(GO) test -fuzz=FuzzOptionsNormalize -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzBoundRect -fuzztime=$(FUZZTIME) ./internal/array/
 
 # loadtest-smoke drives a short closed-loop load burst through an in-process
 # sramd with the real request mix; -check fails the target on zero recorded
@@ -85,12 +86,12 @@ bench-compare:
 	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkExhaustiveSearch16KBPruned|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkServeOptimizeCached|BenchmarkServeOptimizeCatalogHit|BenchmarkBatch64)$$' -benchmem -run='^$$'  -count=3 ./internal/serve/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkCatalogLookup$$' -benchmem -run='^$$'  -count=3 ./internal/catalog/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
-	$(GO) test -json -bench='^BenchmarkEvalSweep$$' -benchmem -run='^$$'  -count=3 ./internal/array/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
+	$(GO) test -json -bench='^(BenchmarkEvalSweep|BenchmarkPrepare|BenchmarkPrepareHybrid)$$' -benchmem -run='^$$'  -count=3 ./internal/array/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) run ./cmd/benchcompare -baseline $(BENCH_BASELINE) -current bench_current.tmp.json \
 		BenchmarkExhaustiveSearch16KB BenchmarkExhaustiveSearch16KBPruned BenchmarkHybridSearch16KB BenchmarkModelEvaluation \
 		BenchmarkMonteCarloYieldBatched \
 		BenchmarkServeOptimizeCached BenchmarkServeOptimizeCatalogHit BenchmarkBatch64 \
-		BenchmarkCatalogLookup BenchmarkEvalSweep; \
+		BenchmarkCatalogLookup BenchmarkEvalSweep BenchmarkPrepare BenchmarkPrepareHybrid; \
 		status=$$?; rm -f bench_current.tmp.json; exit $$status
 
 # bench-prune prints the branch-and-bound evaluated/pruned/skipped breakdown

@@ -1,6 +1,7 @@
 package array
 
 import (
+	"math/rand"
 	"testing"
 
 	"sramco/internal/wire"
@@ -42,6 +43,60 @@ func BenchmarkBoundRect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ev.BoundRect(1, 50, 1, 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchUnits draws a seeded set of distinct units, all plain or all hybrid
+// (two alternate flavors), and an unprepared Evaluator to cycle them on.
+func benchUnits(b *testing.B, hybrid bool) (*Evaluator, []probeUnit) {
+	b.Helper()
+	ev, err := NewEvaluator(testTech(b), Activity{Alpha: 0.5, Beta: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20261017))
+	alts := []FlavorTerms{altTerms(), lvtLikeAlt()}
+	var us []probeUnit
+	for len(us) < 128 {
+		u := drawUnit(rng, alts)
+		if !hybrid {
+			u.h = Hybrid{}
+		} else if u.h.Groups < 2 {
+			continue
+		}
+		if err := u.prepare(ev); err != nil {
+			b.Fatal(err)
+		}
+		us = append(us, u)
+	}
+	return ev, us
+}
+
+// BenchmarkPrepare measures the per-unit cost of Prepare on one reused
+// Evaluator cycling over distinct units — every call switches chunks, and
+// the device-model terms come from the memo, as they do for a search worker.
+func BenchmarkPrepare(b *testing.B) {
+	ev, us := benchUnits(b, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := us[i%len(us)].prepare(ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPrepareHybrid is BenchmarkPrepare for per-row-group units (2, 4
+// or 8 groups, random masks): the bound pass of a hybrid search runs this
+// once per unit.
+func BenchmarkPrepareHybrid(b *testing.B) {
+	ev, us := benchUnits(b, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := us[i%len(us)].prepare(ev); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"sramco/internal/periph"
 	"sramco/internal/wire"
 )
 
@@ -27,6 +28,13 @@ import (
 // the remaining per-point operations in Evaluate's order. The property test
 // in evaluator_test.go enforces this on randomized designs.
 //
+// Across chunks the device-model terms (the rail-driver and wordline
+// currents, the base-flavor read current and write delay, the decoders) are
+// memoized per distinct key, so a worker that prepares tens of thousands of
+// units evaluates the transcendental device model only a few dozen times.
+// The memo returns the value the same expression produced on first use,
+// which keeps the contract above at the == level.
+//
 // An Evaluator is NOT safe for concurrent use: Prepare mutates its memo
 // state. Share the validated construction by calling Clone once per worker;
 // clones share the read-only *Tech and revalidate nothing.
@@ -36,6 +44,16 @@ type Evaluator struct {
 
 	// Activity-derived constants (set at construction).
 	alpha, beta, oneMinusBeta float64
+
+	// Tech-only device terms (set at construction).
+	ionP float64             // ION,pfet per fin (precharger, WL read drive)
+	iTG  float64             // ION of one write transmission gate fin
+	iCol float64             // coefCOL·27·ION,pfet
+	drv  periph.DriverResult // 27-fin WL/COL superbuffer
+
+	// Device-model terms keyed on rails and geometry, valid for the
+	// lifetime of the Evaluator because its *Tech is immutable.
+	memo termMemo
 
 	// Prepared-chunk key: Prepare is memoized on the last (geometry base,
 	// rails) so repeated calls inside one chunk cost a few comparisons.
@@ -60,9 +78,6 @@ type Evaluator struct {
 	// Per-point current denominators and voltages.
 	iRead   float64 // cell read current at (VDDC, VSSC)
 	dvBLRd  float64 // VDDC - VSSC: bitline swing voltage of the read component
-	iCol    float64 // coefCOL·27·ION,pfet
-	iTG     float64 // ION of one write transmission gate fin
-	ionP    float64 // ION,pfet per fin (precharger)
 	vdd     float64
 	deltaVS float64
 
@@ -149,12 +164,19 @@ func (e *Evaluator) init(t *Tech, act Activity) {
 	e.oneMinusBeta = 1 - act.Beta
 	e.vdd = t.Vdd
 	e.deltaVS = t.DeltaVS
+	e.ionP = t.Periph.IONPfet()
+	e.iTG = t.Periph.IONTG()
+	e.drv = t.Periph.Driver(driveFins)
+	e.iCol = coefCOL * driveFins * e.ionP
 }
 
 // Clone returns a fresh unprepared Evaluator sharing the validated *Tech.
-// Each search worker should own a clone; the shared Tech is read-only.
+// Each search worker should own a clone; the shared Tech is read-only. The
+// clone starts with empty memo tables of its own, so clones never share
+// mutable state.
 func (e *Evaluator) Clone() *Evaluator {
 	c := *e
+	c.memo = termMemo{}
 	c.prepared = false
 	c.soaN = 0
 	c.soaBL, c.soaDCOL, c.soaECOL, c.soaIBLwr = nil, nil, nil, nil
@@ -234,8 +256,11 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 	cWL := wire.WL(g, t.Caps)
 
 	// --- Table 2 components invariant across the inner sweep ---
-	b.DCVDD, b.ECVDD = component(cCVDD, t.Vdd, vddc-t.Vdd, coefCVDD*railFins*p.ICVDD(vddc))
-	b.DCVSS, b.ECVSS = component(cCVSS, t.Vdd, math.Abs(vssc), coefCVSS*railFins*p.ICVSS(vssc))
+	iCVDD := e.memo.icvdd.get(math.Float64bits(vddc), func() float64 { return p.ICVDD(vddc) })
+	iCVSS := e.memo.icvss.get(math.Float64bits(vssc), func() float64 { return p.ICVSS(vssc) })
+	iWL := e.memo.iwl.get(math.Float64bits(vwl), func() float64 { return p.IWL(vwl) })
+	b.DCVDD, b.ECVDD = component(cCVDD, t.Vdd, vddc-t.Vdd, coefCVDD*railFins*iCVDD)
+	b.DCVSS, b.ECVSS = component(cCVSS, t.Vdd, math.Abs(vssc), coefCVSS*railFins*iCVSS)
 	if segs := g.Segments(); segs > 1 {
 		// Divided wordline: global wire + per-segment AND + local wordline.
 		cGWL := wire.GWL(g, t.Caps)
@@ -243,32 +268,42 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 		lwlFins := float64(wire.LWLDriverFins())
 		dAnd := 2 * p.Tau * (2 + p.PInv) // NAND2 + local driver input stage
 		eAnd := lwlFins * (t.Caps.Cgn + t.Caps.Cgp) * t.Vdd * t.Vdd
-		dg, eg := component(cGWL, t.Vdd, t.Vdd, coefWLrd*driveFins*p.IONPfet())
-		dl, el := component(cLWL, t.Vdd, t.Vdd, coefWLrd*lwlFins*p.IONPfet())
+		dg, eg := component(cGWL, t.Vdd, t.Vdd, coefWLrd*driveFins*e.ionP)
+		dl, el := component(cLWL, t.Vdd, t.Vdd, coefWLrd*lwlFins*e.ionP)
 		b.DWLGlobal, b.DWLLocal = dg, dl
 		b.DWLRead = dg + dAnd + dl
 		b.EWLRead = eg + eAnd + el
-		dlw, elw := component(cLWL, t.Vdd, vwl, coefWLwr*lwlFins*p.IWL(vwl))
+		dlw, elw := component(cLWL, t.Vdd, vwl, coefWLwr*lwlFins*iWL)
 		b.DWLWrite = dg + dAnd + dlw
 		b.EWLWrite = eg + eAnd + elw
 	} else {
-		b.DWLRead, b.EWLRead = component(cWL, t.Vdd, t.Vdd, coefWLrd*driveFins*p.IONPfet())
-		b.DWLWrite, b.EWLWrite = component(cWL, t.Vdd, vwl, coefWLwr*driveFins*p.IWL(vwl))
+		b.DWLRead, b.EWLRead = component(cWL, t.Vdd, t.Vdd, coefWLrd*driveFins*e.ionP)
+		b.DWLWrite, b.EWLWrite = component(cWL, t.Vdd, vwl, coefWLwr*driveFins*iWL)
 	}
 	e.hGroups, e.hMask = 0, 0
 	var iRead float64
 	if h == nil {
-		iRead = t.IRead(vddc, vssc)
+		iRead = e.baseIRead(vddc, vssc)
 		if iRead <= 0 {
 			return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g", iRead, vddc, vssc)
 		}
 	} else {
+		// Each flavor's current is computed at most once per call: the base
+		// through the memo, the alternate directly, because Hybrid.Alt may
+		// change between calls and func values cannot key a memo.
+		full := uint32(1)<<uint(h.Groups) - 1
+		var baseI, altI float64
+		if h.Mask != full {
+			baseI = e.baseIRead(vddc, vssc)
+		}
+		if h.Mask != 0 {
+			altI = h.Alt.IRead(vddc, vssc)
+		}
 		for gi := 0; gi < h.Groups; gi++ {
-			ir := t.IRead
+			v := baseI
 			if h.Mask>>uint(gi)&1 == 1 {
-				ir = h.Alt.IRead
+				v = altI
 			}
-			v := ir(vddc, vssc)
 			if v <= 0 {
 				return fmt.Errorf("array: non-positive read current %g at VDDC=%g VSSC=%g (group %d)", v, vddc, vssc, gi)
 			}
@@ -280,18 +315,16 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 	}
 
 	// --- Peripheral blocks ---
-	rowDec := p.RowDecoder(g)
-	colDec := p.ColumnDecoder(g)
-	rowDrv := p.Driver(driveFins)
+	rowDec := e.memo.rowDec.get(g.NR, func() periph.DecoderResult { return p.RowDecoder(g) })
 	b.DRowDec, b.ERowDec = rowDec.Delay, rowDec.Energy
-	b.DRowDrv, b.ERowDrv = rowDrv.Delay, rowDrv.Energy
+	b.DRowDrv, b.ERowDrv = e.drv.Delay, e.drv.Energy
 	if g.Muxed() {
-		colDrv := p.Driver(driveFins)
+		colDec := e.memo.colDec.get([2]int{g.NC, g.W}, func() periph.DecoderResult { return p.ColumnDecoder(g) })
 		b.DColDec, b.EColDec = colDec.Delay, colDec.Energy
-		b.DColDrv, b.EColDrv = colDrv.Delay, colDrv.Energy
+		b.DColDrv, b.EColDrv = e.drv.Delay, e.drv.Energy
 	}
 	b.DSenseAmp, b.ESenseAmp = p.SADelay, p.SAEnergy
-	b.DWriteCell = t.WriteDelayCell(vwl)
+	b.DWriteCell = e.memo.writeDelay.get(math.Float64bits(vwl), func() float64 { return t.WriteDelayCell(vwl) })
 	b.EWriteCell = t.WriteEnergyCell
 	if h != nil {
 		full := uint32(1)<<uint(h.Groups) - 1
@@ -320,9 +353,6 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 	e.sumCg = t.Caps.Cgn + t.Caps.Cgp
 	e.iRead = iRead
 	e.dvBLRd = vddc - vssc
-	e.iCol = coefCOL * driveFins * p.IONPfet()
-	e.iTG = p.IONTG()
-	e.ionP = p.IONPfet()
 
 	// --- Output mux (sense-amp sharing) ---
 	m := g.MuxRatio()
@@ -332,7 +362,7 @@ func (e *Evaluator) prepare(g wire.Geometry, vddc, vssc, vwl float64, h *Hybrid)
 		e.blMuxCd = float64(m) * e.sumCd
 	}
 	cMuxSel := wire.MuxSel(g, t.Caps)
-	b.DMuxSel, b.EMuxSel = component(cMuxSel, t.Vdd, t.Vdd, coefCOL*driveFins*p.IONPfet())
+	b.DMuxSel, b.EMuxSel = component(cMuxSel, t.Vdd, t.Vdd, e.iCol)
 	e.dMuxExtra, e.eMuxExtra = b.DMuxSel, b.EMuxSel
 
 	// --- Layout area (wire.Area factorization) ---

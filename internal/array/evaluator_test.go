@@ -18,7 +18,7 @@ func lvtLikeIRead(vddc, vssc float64) float64 {
 
 // evaluatorTechs builds the four (accounting × flavor) technology variants
 // the bit-identity property must span.
-func evaluatorTechs(t *testing.T) []*Tech {
+func evaluatorTechs(t testing.TB) []*Tech {
 	t.Helper()
 	base := testTech(t) // HVT-law, AllColumns
 	hvtWC := *base
@@ -256,5 +256,191 @@ func TestEvaluatorClonesShareTechConcurrently(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// probeUnit is one (geometry base, rails, group assignment) unit the way a
+// search prepares it: h.Groups == 0 selects the plain Prepare, anything else
+// PrepareHybrid (Groups 1 is its degenerate global-flavor form).
+type probeUnit struct {
+	g               wire.Geometry
+	vddc, vssc, vwl float64
+	h               Hybrid
+	alt             int // index of h.Alt in the alternates drawUnit chose from
+}
+
+func (u *probeUnit) prepare(e *Evaluator) error {
+	if u.h.Groups == 0 {
+		return e.Prepare(u.g, u.vddc, u.vssc, u.vwl)
+	}
+	return e.PrepareHybrid(u.g, u.vddc, u.vssc, u.vwl, u.h)
+}
+
+// lvtLikeAlt is a second alternate flavor, distinct from altTerms in every
+// field, so a memo that wrongly outlived a change of Hybrid.Alt shows.
+func lvtLikeAlt() FlavorTerms {
+	return FlavorTerms{
+		LeakCell:        1.692e-9,
+		IRead:           lvtLikeIRead,
+		WriteDelayCell:  func(vwl float64) float64 { return 1.5e-12 * 0.55 / vwl },
+		WriteEnergyCell: 6e-18,
+	}
+}
+
+// drawUnit draws a structurally valid unit. Rails come from small pools so
+// memo keys repeat the way they do across one search, with an occasional
+// fresh value; hybrid units pick their alternate flavor from alts.
+func drawUnit(rng *rand.Rand, alts []FlavorTerms) probeUnit {
+	g, vssc := randomChunk(rng)
+	if m := 2 << rng.Intn(3); m <= g.W && rng.Intn(2) == 0 {
+		g.Mux = m
+	}
+	pick := func(pool ...float64) float64 {
+		if rng.Intn(8) == 0 {
+			return pool[0] + 0.2*rng.Float64()
+		}
+		return pool[rng.Intn(len(pool))]
+	}
+	u := probeUnit{g: g, vddc: pick(0.55, 0.58, 0.6125), vssc: vssc, vwl: pick(0.55, 0.6, 0.65)}
+	u.alt = rng.Intn(len(alts))
+	switch groups := []int{0, 1, 2, 4, 8}[rng.Intn(5)]; {
+	case groups == 1:
+		u.h = Hybrid{Groups: 1, Alt: alts[u.alt]}
+	case groups > 1 && g.NR%groups == 0:
+		u.h = Hybrid{Groups: groups, Mask: uint32(rng.Intn(1 << groups)), Alt: alts[u.alt]}
+	}
+	return u
+}
+
+// TestEvaluatorReuseBitIdenticalToFresh guards the memo tables against stale
+// state: one Evaluator per technology is driven through a seeded,
+// interleaved sequence of Prepare and PrepareHybrid calls over varying
+// geometries, rails, group counts, masks and two different alternate
+// flavors, and after every prepare its EvalInto, EvalSweep and BoundRect
+// must equal (reflect.DeepEqual) those of a fresh Evaluator prepared the
+// same way. Like a search worker, the reused Evaluator gets the alternates
+// through FlavorTerms.Memoized; the fresh one gets them raw. Halfway
+// through, the reused Evaluator is replaced by its Clone, which must start
+// from empty memo tables.
+func TestEvaluatorReuseBitIdenticalToFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	alts := []FlavorTerms{altTerms(), lvtLikeAlt()}
+	memoAlts := []FlavorTerms{alts[0].Memoized(), alts[1].Memoized()}
+	const steps = 400
+	for ti, tech := range evaluatorTechs(t) {
+		ev, err := NewEvaluator(tech, act)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev probeUnit
+		var sweepR, sweepF SweepBlock
+		for step := 0; step < steps; step++ {
+			if step == steps/2 {
+				ev = ev.Clone()
+			}
+			u := drawUnit(rng, alts)
+			if step > 0 && rng.Intn(8) == 0 {
+				u = prev // same chunk again: the Prepare fast path
+			}
+			prev = u
+			fresh, err := NewEvaluator(tech, act)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uR := u
+			if uR.h.Groups > 0 {
+				uR.h.Alt = memoAlts[u.alt]
+			}
+			errR, errF := uR.prepare(ev), u.prepare(fresh)
+			if (errR == nil) != (errF == nil) || (errR != nil && errR.Error() != errF.Error()) {
+				t.Fatalf("tech %d step %d %+v: reused prepare err %v, fresh %v", ti, step, u, errR, errF)
+			}
+			if errR != nil {
+				continue
+			}
+			npre, nwr := 1+rng.Intn(50), 1+rng.Intn(20)
+			var r, f Result
+			if err := ev.EvalInto(npre, nwr, &r); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.EvalInto(npre, nwr, &f); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r, f) {
+				t.Fatalf("tech %d step %d %+v: reused EvalInto(%d,%d) diverges:\n  reused %+v\n  fresh  %+v", ti, step, u, npre, nwr, r, f)
+			}
+			lo := 1 + rng.Intn(20)
+			hi := lo + rng.Intn(21-lo)
+			if err := ev.EvalSweep(npre, lo, hi, &sweepR); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.EvalSweep(npre, lo, hi, &sweepF); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sweepR, sweepF) {
+				t.Fatalf("tech %d step %d %+v: reused EvalSweep(%d,%d,%d) diverges", ti, step, u, npre, lo, hi)
+			}
+			br, err := ev.BoundRect(1, npre, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bf, err := fresh.BoundRect(1, npre, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(br, bf) {
+				t.Fatalf("tech %d step %d %+v: reused BoundRect diverges:\n  reused %+v\n  fresh  %+v", ti, step, u, br, bf)
+			}
+		}
+	}
+}
+
+// TestEvaluatorCloneOfUsedSharesNoMemo clones an Evaluator whose memo tables
+// are already populated and prepares the clones concurrently on new rails.
+// Clones must start from empty tables of their own: under -race (the
+// Makefile check gate) a shared table is a reported data race.
+func TestEvaluatorCloneOfUsedSharesNoMemo(t *testing.T) {
+	tech := testTech(t)
+	used, err := NewEvaluator(tech, act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := wire.Geometry{NR: 256, NC: 128, W: 64, Npre: 1, Nwr: 1, WLSegs: 2}
+	if err := used.Prepare(g, 0.55, -0.05, 0.6); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]*Result, 4)
+	errs := make([]error, 4)
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ev := used.Clone()
+			vssc := -0.01 * float64(w+1)
+			for nr := 64; nr <= 512; nr *= 2 {
+				gw := g
+				gw.NR = nr
+				if errs[w] = ev.Prepare(gw, 0.55+0.01*float64(w), vssc, 0.6); errs[w] != nil {
+					return
+				}
+			}
+			got[w], errs[w] = ev.Eval(3, 2)
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		d := Design{Geom: g, VDDC: 0.55 + 0.01*float64(w), VSSC: -0.01 * float64(w+1), VWL: 0.6}
+		d.Geom.NR, d.Geom.Npre, d.Geom.Nwr = 512, 3, 2
+		want, err := Evaluate(tech, d, act)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got[w]) {
+			t.Errorf("clone %d diverges from Evaluate", w)
+		}
 	}
 }

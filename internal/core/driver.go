@@ -34,13 +34,19 @@ import (
 // scheduling, so pruning thresholds are derived only from
 // schedule-independent state (DESIGN.md §11):
 //
-//  1. a bound pass prepares every unit and bounds its full rectangle;
+//  1. a bound pass prepares every unit on its worker's Evaluator and bounds
+//     its full rectangle, keeping only the classification and the bound;
 //  2. the unit with the best bound seeds the search: its chunk is swept
 //     first, alone, and its result freezes the global threshold T (argmin)
 //     or the seed front f0 (Pareto);
 //  3. the remaining chunks are sharded over workers, each pruning against
 //     the frozen state and its own chunk-local best — both independent of
-//     which worker runs the chunk or in what order.
+//     which worker runs the chunk or in what order. A unit that survives the
+//     unit-level prune is prepared again on the sweeping worker's Evaluator.
+//
+// Each worker owns one Evaluator for the whole run, so the device-model
+// terms it memoizes (array.Evaluator) are computed once per distinct rail or
+// geometry key rather than once per unit.
 
 // bnbMinRun is the N_wr range width below which the searcher sweeps the
 // points instead of bisecting further: a BoundRect costs about an eighth of
@@ -49,17 +55,20 @@ const bnbMinRun = 4
 
 // searchUnit is one (chunk, segmentation, mux, group-mask) rectangle as the
 // enumerator classified it: geometry-invalid (charged to SkippedGeom),
-// RSNM-skipped (charged to SkippedRSNM), or prepared — a per-unit Evaluator
-// plus the lower bound over its full (N_pre, N_wr) range.
+// RSNM-skipped (charged to SkippedRSNM), or prepared — in which case bound
+// is the lower bound over its full (N_pre, N_wr) range.
 type searchUnit struct {
 	segs        int
 	mux         int
 	spec        maskSpec
 	geomInvalid bool
 	rsnmSkip    bool
-	ev          *array.Evaluator // nil unless prepared
 	bound       array.Bound
 }
+
+// prepared reports whether the unit is swept (or pruned by its bound)
+// rather than skipped.
+func (u *searchUnit) prepared() bool { return !u.geomInvalid && !u.rsnmSkip }
 
 // search carries the shared state of one run of the driver.
 type search struct {
@@ -70,7 +79,7 @@ type search struct {
 	cc, altCC *CellChar
 	evProto   *array.Evaluator
 	chunks    []chunk
-	units     [][]searchUnit // aligned with chunks; a chunk's units are released once swept
+	units     [][]searchUnit // aligned with chunks
 	workers   int
 
 	pareto bool    // frontier sink instead of argmin
@@ -90,7 +99,9 @@ type search struct {
 
 // searchWorker accumulates one worker's partial view of the search.
 type searchWorker struct {
-	stats   SearchStats // Evaluated / Skipped* / PrunedBound only
+	ev      *array.Evaluator  // prepares every unit this worker bounds or sweeps
+	alt     array.FlavorTerms // the search's alternate flavor, memoized per worker
+	stats   SearchStats       // Evaluated / Skipped* / PrunedBound only
 	sweep   array.SweepBlock
 	scratch array.Result
 
@@ -217,9 +228,11 @@ func (s *search) run() ([]searchWorker, SearchStats, error) {
 	defer s.cancel(nil)
 	slots := make([]searchWorker, s.workers)
 	for i := range slots {
+		slots[i].ev = s.evProto.Clone()
+		slots[i].alt = s.alt.Memoized()
 		slots[i].obj = math.Inf(1)
 	}
-	if !s.boundPass() {
+	if !s.boundPass(slots) {
 		return s.finish(slots)
 	}
 	seed := s.pickSeed()
@@ -287,15 +300,18 @@ func evalErr(c chunk, npre, nwr int, err error) error {
 
 // boundPass enumerates every chunk's units, striping chunks over workers.
 // Unit construction is pure per-chunk work, so the stripe assignment cannot
-// affect the result. It reports false when the run was canceled.
-func (s *search) boundPass() bool {
+// affect the result. It reports false when the run was canceled. Its span
+// carries the unit counts and ends on every path, tagged with the cause
+// when the run was canceled.
+func (s *search) boundPass(slots []searchWorker) bool {
+	sp := obs.StartSpanCtx(s.sctx, "core.search.bound_pass")
 	s.units = make([][]searchUnit, len(s.chunks))
 	s.fanOut(func(w int) {
 		for ci := w; ci < len(s.chunks); ci += s.workers {
 			if s.sctx.Err() != nil {
 				return
 			}
-			us, err := s.enumerate(s.chunks[ci])
+			us, err := s.enumerate(s.chunks[ci], &slots[w])
 			if err != nil {
 				s.cancel(err)
 				return
@@ -303,14 +319,44 @@ func (s *search) boundPass() bool {
 			s.units[ci] = us
 		}
 	})
-	return s.sctx.Err() == nil
+	var units, prepared int64
+	for _, us := range s.units {
+		units += int64(len(us))
+		for i := range us {
+			if us[i].prepared() {
+				prepared++
+			}
+		}
+	}
+	sp.Int("units", units)
+	sp.Int("prepared", prepared)
+	cause := context.Cause(s.sctx)
+	if cause != nil && sp.On() {
+		sp.Str("err", cause.Error())
+	}
+	sp.End()
+	return cause == nil
+}
+
+// prepareUnit prepares the worker's Evaluator for the (N_pre, N_wr)
+// rectangle of a prepared unit of chunk c.
+func (s *search) prepareUnit(w *searchWorker, c chunk, u *searchUnit) error {
+	g := wire.Geometry{NR: c.rc.nr, NC: c.rc.nc, W: accessWidth(s.opts.W, c.rc.nc),
+		Npre: 1, Nwr: 1, WLSegs: u.segs, Mux: u.mux}
+	// Groups ≤ 1 degenerates to the global-flavor Prepare.
+	err := w.ev.PrepareHybrid(g, u.spec.vddc, c.vssc, u.spec.vwl,
+		array.Hybrid{Groups: s.opts.HybridGroups, Mask: u.spec.mask, Alt: w.alt})
+	if err != nil {
+		return evalErr(c, 1, 1, err)
+	}
+	return nil
 }
 
 // enumerate is the unit enumerator: it yields one chunk's units in the fixed
 // (segs, mux, mask) order the sweep visits them, each already classified.
-// Prepared units own an Evaluator clone holding the unit's prepared state and
-// the bound over the full (N_pre, N_wr) rectangle.
-func (s *search) enumerate(c chunk) ([]searchUnit, error) {
+// Each prepared unit is prepared on the worker's Evaluator just long enough
+// to bound its full (N_pre, N_wr) rectangle; only the bound is kept.
+func (s *search) enumerate(c chunk, w *searchWorker) ([]searchUnit, error) {
 	space := s.opts.Space
 	width := accessWidth(s.opts.W, c.rc.nc)
 	segsList := segCandidates(&s.opts, c.rc.nc, width)
@@ -331,16 +377,14 @@ func (s *search) enumerate(c chunk) ([]searchUnit, error) {
 				case !specRSNMOK(sp, c.vssc, s.cc, s.altCC, s.delta):
 					u.rsnmSkip = true
 				default:
-					// Groups ≤ 1 degenerates to the global-flavor Prepare.
-					u.ev = s.evProto.Clone()
-					err := u.ev.PrepareHybrid(base, sp.vddc, c.vssc, sp.vwl,
-						array.Hybrid{Groups: s.opts.HybridGroups, Mask: sp.mask, Alt: s.alt})
-					if err == nil {
-						u.bound, err = u.ev.BoundRect(1, space.NpreMax, 1, space.NwrMax)
+					if err := s.prepareUnit(w, c, &u); err != nil {
+						return nil, err
 					}
+					b, err := w.ev.BoundRect(1, space.NpreMax, 1, space.NwrMax)
 					if err != nil {
 						return nil, evalErr(c, 1, 1, err)
 					}
+					u.bound = b
 				}
 				us = append(us, u)
 			}
@@ -358,7 +402,7 @@ func (s *search) pickSeed() int {
 	best, ci := math.Inf(1), -1
 	for i, us := range s.units {
 		for _, u := range us {
-			if u.ev == nil || !u.bound.RailsSettleInTime {
+			if !u.prepared() || !u.bound.RailsSettleInTime {
 				continue
 			}
 			if b := s.objBound(&u.bound); b < best {
@@ -451,10 +495,9 @@ func (s *search) sweepChunk(ci int, w *searchWorker) bool {
 units:
 	for ui := range s.units[ci] {
 		u := &s.units[ci][ui]
+		// Skipped and pruned units are O(1) bookkeeping; cancellation is
+		// checked only before a unit that is swept (context.Err takes a lock).
 		switch {
-		case s.sctx.Err() != nil:
-			ok = false
-			break units
 		case u.geomInvalid:
 			w.stats.SkippedGeom += pts
 			continue
@@ -464,6 +507,14 @@ units:
 		case s.prunes(w, &u.bound):
 			w.stats.PrunedBound += pts
 			continue
+		case s.sctx.Err() != nil:
+			ok = false
+			break units
+		}
+		if err := s.prepareUnit(w, c, u); err != nil {
+			s.cancel(err)
+			ok = false
+			break units
 		}
 		for npre := 1; npre <= space.NpreMax; npre++ {
 			if s.sctx.Err() != nil || !s.sweepRow(c, u, w, npre, 1, space.NwrMax) {
@@ -474,7 +525,7 @@ units:
 		}
 	}
 	flush()
-	s.units[ci] = nil // each chunk is swept once; release its evaluators
+	s.units[ci] = nil // each chunk is swept once
 	if ok {
 		mSearchChunks.Inc()
 		hChunkDur.Observe(time.Since(chunkStart))
@@ -488,18 +539,19 @@ units:
 	return ok
 }
 
-// sweepRow sweeps N_wr ∈ [lo, hi] of one N_pre row of a prepared unit. With
-// pruning on it first bounds the range and, if the bound does not prune it,
-// bisects: the bound's write-buffer current is taken at the range's high end,
-// so its slack on a full row is ~NwrMax×; each halving tightens it 2×, and a
-// BoundRect is ~an eighth of sweeping the points it can prune. Recursion is
-// sequential within the chunk, so the counts and the incumbent updates stay
-// deterministic. Without pruning the row is swept in one EvalSweep, and a
-// rail-infeasible unit's points are evaluated and booked as SkippedRails.
+// sweepRow sweeps N_wr ∈ [lo, hi] of one N_pre row of the unit prepared on
+// the worker's Evaluator. With pruning on it first bounds the range and, if
+// the bound does not prune it, bisects: the bound's write-buffer current is
+// taken at the range's high end, so its slack on a full row is ~NwrMax×;
+// each halving tightens it 2×, and a BoundRect is ~an eighth of sweeping the
+// points it can prune. Recursion is sequential within the chunk, so the
+// counts and the incumbent updates stay deterministic. Without pruning the
+// row is swept in one EvalSweep, and a rail-infeasible unit's points are
+// evaluated and booked as SkippedRails.
 func (s *search) sweepRow(c chunk, u *searchUnit, w *searchWorker, npre, lo, hi int) bool {
 	n := hi - lo + 1
 	if s.prune {
-		rb, err := u.ev.BoundRect(npre, npre, lo, hi)
+		rb, err := w.ev.BoundRect(npre, npre, lo, hi)
 		if err != nil {
 			s.cancel(evalErr(c, npre, lo, err))
 			return false
@@ -513,7 +565,7 @@ func (s *search) sweepRow(c chunk, u *searchUnit, w *searchWorker, npre, lo, hi 
 			return s.sweepRow(c, u, w, npre, lo, mid) && s.sweepRow(c, u, w, npre, mid+1, hi)
 		}
 	}
-	if err := u.ev.EvalSweep(npre, lo, hi, &w.sweep); err != nil {
+	if err := w.ev.EvalSweep(npre, lo, hi, &w.sweep); err != nil {
 		s.cancel(evalErr(c, npre, lo, err))
 		return false
 	}
@@ -556,7 +608,7 @@ func (s *search) takeMin(c chunk, u *searchUnit, w *searchWorker, npre, lo, n in
 		if lane != nil {
 			v = lane[i]
 		} else {
-			if err := u.ev.EvalInto(npre, nwr, &w.scratch); err != nil {
+			if err := w.ev.EvalInto(npre, nwr, &w.scratch); err != nil {
 				s.cancel(evalErr(c, npre, nwr, err))
 				return false
 			}
@@ -573,7 +625,7 @@ func (s *search) takeMin(c chunk, u *searchUnit, w *searchWorker, npre, lo, n in
 			continue
 		}
 		if lane != nil {
-			if err := u.ev.EvalInto(npre, nwr, &w.scratch); err != nil {
+			if err := w.ev.EvalInto(npre, nwr, &w.scratch); err != nil {
 				s.cancel(evalErr(c, npre, nwr, err))
 				return false
 			}
@@ -595,7 +647,7 @@ func (s *search) takePareto(c chunk, u *searchUnit, w *searchWorker, npre, lo, n
 		if !paretoWouldChange(w.front, w.sweep.DArray[i], w.sweep.EArray[i], s.unitDesign(c, u, npre, nwr)) {
 			continue
 		}
-		if err := u.ev.EvalInto(npre, nwr, &w.scratch); err != nil {
+		if err := w.ev.EvalInto(npre, nwr, &w.scratch); err != nil {
 			s.cancel(evalErr(c, npre, nwr, err))
 			return false
 		}

@@ -284,3 +284,30 @@ func TestHybridRejectsUnsupportedModes(t *testing.T) {
 		t.Error("sensitivity analysis accepted a hybrid design point")
 	}
 }
+
+// TestHybridSearchAllocs gates the allocation budget of the largest search:
+// 16 KB, 8 row groups (every LVT/HVT mask) and mux ratios up to 4, min-PADP.
+// Its bound pass prepares ~77k units, all on one Evaluator per worker, so
+// the allocation count must stay far below the unit count instead of
+// growing with it.
+func TestHybridSearchAllocs(t *testing.T) {
+	f := paperFramework(t)
+	sp := DefaultSpace()
+	sp.MuxMax = 4
+	opts := Options{
+		CapacityBits: 16 * 1024 * 8,
+		Flavor:       device.LVT,
+		Method:       M2,
+		Objective:    ObjectivePADP,
+		HybridGroups: 8,
+		Space:        sp,
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := f.Optimize(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5000 {
+		t.Errorf("hybrid 16 KB search made %.0f allocations, want ≤ 5000", allocs)
+	}
+}
