@@ -11,8 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"sramco"
-	"sramco/internal/array"
 	"sramco/internal/obs"
 )
 
@@ -25,20 +23,13 @@ const (
 
 var mBatchItems = obs.NewCounter("serve.batch.items")
 
-// batchItem is one decoded, normalized line of a /v1/batch request.
-type batchItem struct {
-	op  string
-	opt *OptimizeRequest // op == "optimize" | "pareto"
-	ev  *EvaluateRequest // op == "evaluate"
-}
-
 // decodeBatch parses an NDJSON batch body: one request object per line,
 // each tagged with an "op" field naming the endpoint ("optimize",
 // "evaluate" or "pareto") next to that endpoint's ordinary request fields.
 // Blank lines are skipped. Every line is strict-decoded and normalized up
 // front — any malformed line fails the whole batch with a 400 before
 // anything streams, so a batch response is always a clean NDJSON stream.
-func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
+func decodeBatch(r io.Reader) ([]call, *apiError) {
 	// Read one byte past the limit so a body of exactly maxBatchBytes is
 	// accepted and anything larger is detected without buffering it all.
 	body, err := io.ReadAll(io.LimitReader(r, maxBatchBytes+1))
@@ -50,7 +41,7 @@ func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
 	}
 	sc := bufio.NewScanner(bytes.NewReader(body))
 	sc.Buffer(make([]byte, 0, 64*1024), maxBodyBytes)
-	var items []batchItem
+	var items []call
 	line := 0
 	for sc.Scan() {
 		line++
@@ -67,42 +58,20 @@ func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
 		if err := json.Unmarshal(raw, &env); err != nil {
 			return nil, badRequest("batch line %d: %v", line, err)
 		}
-		switch env.Op {
-		case "optimize", "pareto":
-			var it struct {
-				Op string `json:"op"`
-				OptimizeRequest
-			}
-			if aerr := decodeJSON(bytes.NewReader(raw), &it); aerr != nil {
-				return nil, badRequest("batch line %d: %s", line, aerr.Message)
-			}
-			req := it.OptimizeRequest
-			if aerr := req.normalize(); aerr != nil {
-				return nil, badRequest("batch line %d: %s", line, aerr.Message)
-			}
-			// Per-item deadlines do not exist in a batch: the whole batch
-			// shares one deadline (the ?timeout_ms query parameter, capped
-			// by the server), and keys never include deadlines anyway.
-			req.TimeoutMS = 0
-			items = append(items, batchItem{op: env.Op, opt: &req})
-		case "evaluate":
-			var it struct {
-				Op string `json:"op"`
-				EvaluateRequest
-			}
-			if aerr := decodeJSON(bytes.NewReader(raw), &it); aerr != nil {
-				return nil, badRequest("batch line %d: %s", line, aerr.Message)
-			}
-			req := it.EvaluateRequest
-			if aerr := req.normalize(); aerr != nil {
-				return nil, badRequest("batch line %d: %s", line, aerr.Message)
-			}
-			items = append(items, batchItem{op: env.Op, ev: &req})
-		case "":
+		o, ok := ops[env.Op]
+		switch {
+		case env.Op == "":
 			return nil, badRequest("batch line %d: missing op (want optimize, evaluate or pareto)", line)
-		default:
+		case !ok || env.Op == "yield": // yield has its own streaming endpoint
 			return nil, badRequest("batch line %d: unknown op %q (want optimize, evaluate or pareto)", line, env.Op)
 		}
+		// A per-item timeout_ms is dropped: the whole batch shares one
+		// deadline (the ?timeout_ms query parameter, capped by the server).
+		req, aerr := o.parse(func(dst any) *apiError { return decodeJSON(bytes.NewReader(raw), tagged(dst)) })
+		if aerr != nil {
+			return nil, badRequest("batch line %d: %s", line, aerr.Message)
+		}
+		items = append(items, call{env.Op, req})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, badRequest("batch body: %v", err)
@@ -113,12 +82,22 @@ func decodeBatch(r io.Reader) ([]batchItem, *apiError) {
 	return items, nil
 }
 
-// key returns the item's canonical cache key.
-func (it batchItem) key() string {
-	if it.ev != nil {
-		return it.ev.key()
+// tagged wraps the decode target of a batch line, which carries the op tag
+// next to the request's own fields.
+func tagged(dst any) any {
+	switch d := dst.(type) {
+	case *OptimizeRequest:
+		return &struct {
+			Op string `json:"op"`
+			*OptimizeRequest
+		}{OptimizeRequest: d}
+	case *EvaluateRequest:
+		return &struct {
+			Op string `json:"op"`
+			*EvaluateRequest
+		}{EvaluateRequest: d}
 	}
-	return it.opt.key(it.op)
+	return dst
 }
 
 // batchResult is one streamed NDJSON line of a /v1/batch response: the
@@ -153,70 +132,16 @@ func toBatchResult(idx int, op string, res cached, state string, err error, d ti
 	return batchResult{Index: idx, Op: op, Status: res.status, Cache: state, Body: res.body}
 }
 
-// batchEvaluator shares prepared array.Evaluator instances across the
-// evaluate items of one batch, one per (flavor, activity): consecutive
-// items differing only in fin counts reuse the memoized chunk-invariant
-// state from Prepare instead of recomputing it. The batch handler drives
-// evaluate items sequentially, but a fill whose waiter timed out keeps
-// running on its flightGroup goroutine — the mutex makes that overlap safe
-// (Prepare/Eval share per-Evaluator state), and handleBatch additionally
-// stops launching new fills once the batch deadline has passed so nothing
-// queues up behind a straggler.
-type batchEvaluator struct {
-	fw   *sramco.Framework
-	hook func() // test seam (Server.evalHook); nil in production
-
-	mu sync.Mutex
-	m  map[batchEvalKey]*array.Evaluator
-}
-
-type batchEvalKey struct {
-	flavor      sramco.Flavor
-	alpha, beta float64
-}
-
-func newBatchEvaluator(fw *sramco.Framework, hook func()) *batchEvaluator {
-	return &batchEvaluator{fw: fw, hook: hook, m: make(map[batchEvalKey]*array.Evaluator)}
-}
-
-func (e *batchEvaluator) eval(flavor sramco.Flavor, d sramco.Design, act sramco.Activity) (*sramco.Result, error) {
-	if e.hook != nil {
-		e.hook()
-	}
-	if d.Groups != 0 {
-		// Hybrid designs carry per-group cell state a shared single-flavor
-		// Evaluator cannot memoize; evaluate them standalone.
-		return e.fw.Evaluate(flavor, d, act)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := batchEvalKey{flavor: flavor, alpha: act.Alpha, beta: act.Beta}
-	ev, ok := e.m[k]
-	if !ok {
-		tech, err := e.fw.Core().ArrayTech(flavor)
-		if err != nil {
-			return nil, err
-		}
-		if ev, err = array.NewEvaluator(tech, act); err != nil {
-			return nil, err
-		}
-		e.m[k] = ev
-	}
-	if err := ev.Prepare(d.Geom, d.VDDC, d.VSSC, d.VWL); err != nil {
-		return nil, err
-	}
-	return ev.Eval(d.Geom.Npre, d.Geom.Nwr)
-}
-
 // handleBatch answers POST /v1/batch: many optimize/evaluate/pareto items
 // in one NDJSON body, results streamed back as NDJSON in completion order,
 // flushed per line so callers read early results while later chunks still
 // compute. Each item goes through the same catalog → cache → coalesced-fill
 // path as its standalone endpoint and carries its own status; the HTTP
-// status of the stream itself is 200 once decoding succeeds. Evaluate items
-// run sequentially on shared prepared Evaluators; optimize/pareto items fan
-// out onto the worker pool. One admit spans the whole batch, so draining
-// waits for it like any other request.
+// status of the stream itself is 200 once decoding succeeds. Every item fans
+// out onto the worker pool; once the batch deadline passes, waiting items
+// answer 504 lines while their in-flight fills still finish into the cache.
+// One admit spans the whole batch, so draining waits for it like any other
+// request.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	mRequests.Inc()
 	if r.Method != http.MethodPost {
@@ -250,50 +175,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	results := make(chan batchResult, len(items))
 	var wg sync.WaitGroup
-	var evalIdx []int
-	for i, it := range items {
-		if it.op == "evaluate" {
-			evalIdx = append(evalIdx, i)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, it batchItem) {
-			defer wg.Done()
-			fill := func(ctx context.Context) (any, error) {
-				if it.op == "pareto" {
-					return s.paretoResult(ctx, *it.opt)
-				}
-				return s.optimizeResult(ctx, *it.opt)
-			}
-			t0 := time.Now()
-			res, state, err := s.respond(batchCtx, it.key(), fill)
-			results <- toBatchResult(i, it.op, res, state, err, time.Since(t0))
-		}(i, it)
-	}
-	if len(evalIdx) > 0 {
+	for i, c := range items {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev := newBatchEvaluator(s.fw, s.evalHook)
-			for n, i := range evalIdx {
-				// Once the batch deadline has passed, respond returns early
-				// while its fill keeps running on the flightGroup goroutine;
-				// launching the next item's fill would then contend on the
-				// shared evaluator behind that straggler. Answer the remaining
-				// items with the deadline error instead.
-				if batchCtx.Err() != nil {
-					for _, j := range evalIdx[n:] {
-						results <- toBatchResult(j, items[j].op, cached{}, "", context.Cause(batchCtx), 0)
-					}
-					return
-				}
-				it := items[i]
-				t0 := time.Now()
-				res, state, err := s.respond(batchCtx, it.key(), func(ctx context.Context) (any, error) {
-					return s.evaluateResult(*it.ev, ev)
-				})
-				results <- toBatchResult(i, it.op, res, state, err, time.Since(t0))
-			}
+			t0 := time.Now()
+			res, state, err := s.respond(batchCtx, c.key(), c)
+			results <- toBatchResult(i, c.op, res, state, err, time.Since(t0))
 		}()
 	}
 	go func() {

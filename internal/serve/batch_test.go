@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -226,57 +227,80 @@ func TestBatchRejectsMalformedInput(t *testing.T) {
 	}
 }
 
-// TestBatchDeadlineStopsEvalFills pins the evaluate-loop deadline
-// semantics: once the batch deadline passes mid-item, the handler must not
-// launch fills for the remaining evaluate items (the expired item's fill is
-// still running on its flightGroup goroutine — a new fill would share the
-// batchEvaluator with it) but answer them with the deadline error. The
-// pre-fix code started a fill per remaining item, which this test observes
-// as extra evalHook entries (and, under -race, as a data race on the
-// evaluator map).
-func TestBatchDeadlineStopsEvalFills(t *testing.T) {
-	// Several worker slots, so a stray post-deadline fill would reach the
-	// shared evaluator instead of parking on the pool semaphore behind the
-	// gated straggler.
-	s := New(framework(t), Config{Timeout: 100 * time.Millisecond, Workers: 4})
+// TestBatchDeadlineAnswersWaitersFillsFinish pins the batch deadline
+// semantics: with every evaluate fill held open past a 100ms batch
+// deadline, each item's line is a 504 that arrives within the deadline plus
+// slack, and the fills still running then finish into the cache, so a
+// standalone repeat of each item is a hit.
+func TestBatchDeadlineAnswersWaitersFillsFinish(t *testing.T) {
+	fw := framework(t)
+	s := New(fw, Config{Workers: 4})
 	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // never leave a fill parked, even on a failed assertion
 	var fills atomic.Int32
-	s.evalHook = func() {
+	s.evaluateFn = func(f sramco.Flavor, d sramco.Design, act sramco.Activity) (*sramco.Result, error) {
 		fills.Add(1)
 		<-gate
+		return fw.Evaluate(f, d, act)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Three distinct (uncached) evaluate items; the first blocks in the
-	// hook until well past the 100ms batch deadline.
-	batch := strings.Join([]string{
-		`{"op":"evaluate","flavor":"hvt","nr":32,"nc":32,"npre":1,"nwr":1}`,
-		`{"op":"evaluate","flavor":"hvt","nr":64,"nc":32,"npre":1,"nwr":1}`,
-		`{"op":"evaluate","flavor":"hvt","nr":128,"nc":32,"npre":1,"nwr":1}`,
-	}, "\n")
-	code, results := readBatch(t, ts.URL, batch+"\n")
-	defer close(gate) // let straggler fills finish and unwind
-
-	if code != http.StatusOK {
-		t.Fatalf("batch status %d", code)
+	// Three distinct (uncached) evaluate items.
+	items := []string{
+		`{"flavor":"hvt","nr":32,"nc":32,"npre":1,"nwr":1}`,
+		`{"flavor":"hvt","nr":64,"nc":32,"npre":1,"nwr":1}`,
+		`{"flavor":"hvt","nr":128,"nc":32,"npre":1,"nwr":1}`,
 	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
+	var batch strings.Builder
+	for _, it := range items {
+		batch.WriteString(`{"op":"evaluate",` + it[1:] + "\n")
+	}
+	const deadline, slack = 100 * time.Millisecond, 2 * time.Second
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/v1/batch?timeout_ms=100", "application/x-ndjson", strings.NewReader(batch.String()))
+	if err != nil {
+		t.Fatalf("POST /v1/batch: %v", err)
+	}
+	var results []batchResult
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), maxBodyBytes)
+	for sc.Scan() {
+		var r batchResult
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Errorf("batch line %q: %v", sc.Bytes(), err)
+		}
+		results = append(results, r)
+	}
+	elapsed := time.Since(start)
+	resp.Body.Close()
+	openGate()
+
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	if len(results) != len(items) {
+		t.Fatalf("got %d results, want %d", len(results), len(items))
 	}
 	for _, r := range results {
 		if r.Status != http.StatusGatewayTimeout {
-			t.Errorf("item %d: status %d, want 504 after batch deadline", r.Index, r.Status)
+			t.Errorf("item %d: status %d, want 504 after the batch deadline", r.Index, r.Status)
 		}
 	}
+	if elapsed > deadline+slack {
+		t.Errorf("batch answered after %v, want within %v of its %v deadline", elapsed, slack, deadline)
+	}
 
-	// Count fills with the gate still closed, so any stray post-deadline
-	// fill is parked in the hook where it stays countable; the grace sleep
-	// gives such strays time to get scheduled before the assertion.
-	waitFor(t, "first fill to start", func() bool { return fills.Load() >= 1 })
-	time.Sleep(50 * time.Millisecond)
-	if n := fills.Load(); n != 1 {
-		t.Errorf("%d evaluate fills started, want 1 (no new fills after the deadline)", n)
+	waitFor(t, "the held fills to land in the cache", func() bool { return s.cache.Len() == len(items) })
+	for _, it := range items {
+		code, hdr, body := postJSON(t, ts.URL+"/v1/evaluate", it)
+		if code != http.StatusOK || hdr.Get("X-Cache") != "hit" {
+			t.Errorf("standalone %s after the batch: status %d X-Cache %q, want 200/hit (%s)", it, code, hdr.Get("X-Cache"), body)
+		}
+	}
+	if n := fills.Load(); n != int32(len(items)) {
+		t.Errorf("%d evaluate fills ran, want %d (one per item)", n, len(items))
 	}
 }
 
@@ -338,9 +362,8 @@ func TestBatchItemLimit(t *testing.T) {
 }
 
 // BenchmarkBatch64 measures a 64-item evaluate batch through the full HTTP
-// handler, shared-Evaluator path included. Items vary by geometry so the
-// batch is real work, not 64 cache hits; the cache is disabled to keep every
-// iteration on the fill path.
+// handler. Items vary by geometry so the batch is real work, not 64 cache
+// hits; the cache is disabled to keep every iteration on the fill path.
 func BenchmarkBatch64(b *testing.B) {
 	s := New(framework(b), Config{CacheSize: -1})
 	var sb strings.Builder

@@ -77,58 +77,27 @@ func (s *Server) BuildCatalog(ctx context.Context, grid CatalogGrid) (*catalog.C
 	defer func() { sp.End(); hCatalogBuild.Observe(time.Since(start)) }()
 
 	b := catalog.NewBuilder(s.fw.Fingerprint())
-	add := func(key string, v any) error {
+	for _, c := range grid.cells() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if aerr := c.req.normalize(); aerr != nil {
+			return nil, fmt.Errorf("serve: catalog grid cell invalid: %s", aerr.Message)
+		}
+		key := c.key()
+		v, err := ops[c.op].fill(s, ctx, c.req)
+		if errors.Is(err, sramco.ErrInfeasible) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("serve: catalog fill %s: %w", key, err)
+		}
 		body, err := json.Marshal(v)
 		if err != nil {
-			return fmt.Errorf("serve: catalog entry %s: %w", key, err)
+			return nil, fmt.Errorf("serve: catalog entry %s: %w", key, err)
 		}
-		return b.Add(key, body)
-	}
-	for _, capBytes := range grid.CapacitiesBytes {
-		for _, flavor := range grid.Flavors {
-			for _, method := range grid.Methods {
-				for _, obj := range grid.Objectives {
-					for _, groups := range append([]int{0}, grid.Groups...) {
-						if err := ctx.Err(); err != nil {
-							return nil, err
-						}
-						req := OptimizeRequest{CapacityBytes: capBytes, Flavor: flavor, Method: method, Objective: obj, Groups: groups}
-						if aerr := req.normalize(); aerr != nil {
-							return nil, fmt.Errorf("serve: catalog grid cell invalid: %s", aerr.Message)
-						}
-						v, err := s.optimizeResult(ctx, req)
-						if errors.Is(err, sramco.ErrInfeasible) {
-							continue
-						}
-						if err != nil {
-							return nil, fmt.Errorf("serve: catalog fill %s: %w", req.key("optimize"), err)
-						}
-						if err := add(req.key("optimize"), v); err != nil {
-							return nil, err
-						}
-					}
-				}
-				if !grid.Pareto {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				req := OptimizeRequest{CapacityBytes: capBytes, Flavor: flavor, Method: method}
-				if aerr := req.normalize(); aerr != nil {
-					return nil, fmt.Errorf("serve: catalog grid cell invalid: %s", aerr.Message)
-				}
-				v, err := s.paretoResult(ctx, req)
-				if errors.Is(err, sramco.ErrInfeasible) {
-					continue
-				}
-				if err != nil {
-					return nil, fmt.Errorf("serve: catalog fill %s: %w", req.key("pareto"), err)
-				}
-				if err := add(req.key("pareto"), v); err != nil {
-					return nil, err
-				}
-			}
+		if err := b.Add(key, body); err != nil {
+			return nil, err
 		}
 	}
 	cat, err := b.Build()
@@ -137,4 +106,26 @@ func (s *Server) BuildCatalog(ctx context.Context, grid CatalogGrid) (*catalog.C
 	}
 	sp.Int("entries", int64(cat.Len()))
 	return cat, nil
+}
+
+// cells enumerates the grid's requests in build order: per capacity, flavor
+// and method, every objective × group count for /v1/optimize, then the
+// /v1/pareto front under the default objective.
+func (g CatalogGrid) cells() []call {
+	var cells []call
+	for _, capBytes := range g.CapacitiesBytes {
+		for _, flavor := range g.Flavors {
+			for _, method := range g.Methods {
+				for _, obj := range g.Objectives {
+					for _, groups := range append([]int{0}, g.Groups...) {
+						cells = append(cells, call{"optimize", &OptimizeRequest{CapacityBytes: capBytes, Flavor: flavor, Method: method, Objective: obj, Groups: groups}})
+					}
+				}
+				if g.Pareto {
+					cells = append(cells, call{"pareto", &OptimizeRequest{CapacityBytes: capBytes, Flavor: flavor, Method: method}})
+				}
+			}
+		}
+	}
+	return cells
 }

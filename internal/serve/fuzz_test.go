@@ -25,10 +25,7 @@ func fuzzServer(f *testing.F) *Server {
 	if aerr := oreq.normalize(); aerr != nil {
 		f.Fatalf("seed optimize request: %v", aerr)
 	}
-	opts, err := oreq.options()
-	if err != nil {
-		f.Fatal(err)
-	}
+	opts := oreq.options()
 	opt, err := fw.OptimizeWithContext(context.Background(), opts)
 	if err != nil {
 		f.Fatalf("seed optimize: %v", err)
@@ -41,11 +38,7 @@ func fuzzServer(f *testing.F) *Server {
 	if aerr := yreq.normalize(); aerr != nil {
 		f.Fatalf("seed yield request: %v", aerr)
 	}
-	ycfg, err := yreq.config()
-	if err != nil {
-		f.Fatal(err)
-	}
-	yres, err := sramco.MonteCarloYieldStream(context.Background(), ycfg, nil)
+	yres, err := sramco.MonteCarloYieldStream(context.Background(), yreq.config(), nil)
 	if err != nil {
 		f.Fatalf("seed yield: %v", err)
 	}
@@ -60,7 +53,8 @@ func fuzzServer(f *testing.F) *Server {
 
 // FuzzDecodeRequest throws arbitrary bodies at every /v1/* endpoint. The
 // contract under fuzz: the handler stack never panics, success responses are
-// valid JSON, and every rejection is a structured error envelope with a
+// valid JSON, a 200 from /v1/evaluate echoes a design whose nr·nc fits the
+// capacity cap, and every rejection is a structured error envelope with a
 // 4xx/5xx status — malformed input must surface as a 400-class error, not a
 // crash.
 func FuzzDecodeRequest(f *testing.F) {
@@ -102,6 +96,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","mux":2,"groups":4,"group_mask":5}`},
 		{1, `{"nr":32,"nc":64,"w":32,"flavor":"lvt","method":"m2","group_mask":3}`}, // mask without groups
 		{1, `{"nr":36,"nc":64,"w":32,"flavor":"lvt","method":"m2","groups":8}`},     // rows not divisible by groups
+		{1, `{"flavor":"hvt","nr":4294967296,"nc":4294967296,"npre":1,"nwr":1}`},    // nr·nc wraps to 0
+		{1, `{"flavor":"hvt","nr":2199023255552,"nc":8388608,"npre":1,"nwr":1}`},    // 2^41·2^23 wraps to 0
 	}
 	for _, s := range seeds {
 		f.Add(s.which, []byte(s.body))
@@ -119,6 +115,16 @@ func FuzzDecodeRequest(f *testing.F) {
 			var v map[string]any
 			if err := json.NewDecoder(res.Body).Decode(&v); err != nil {
 				t.Fatalf("%s: 200 with unparseable body: %v", path, err)
+			}
+			if path == "/v1/evaluate" {
+				var ev EvaluateResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &ev); err != nil {
+					t.Fatalf("%s: 200 body is not an EvaluateResponse: %v", path, err)
+				}
+				const capBits = maxCapacityBytes * 8
+				if nr, nc := ev.Request.NR, ev.Request.NC; nr < 1 || nc < 1 || nr > capBits || nc > capBits || nr > capBits/nc {
+					t.Fatalf("%s: 200 for nr=%d nc=%d, beyond the %d-bit cap", path, nr, nc, capBits)
+				}
 			}
 			return
 		}
@@ -145,7 +151,8 @@ func FuzzDecodeRequest(f *testing.F) {
 // The contract: decodeBatch never panics; it either rejects the whole batch
 // with a 400 apiError or returns at least one item, and every returned item
 // is internally consistent — op-tagged with exactly the matching request
-// populated, and a canonical key that is stable under re-normalization.
+// type, no per-item deadline, and a canonical key that is stable under
+// re-normalization.
 func FuzzDecodeBatch(f *testing.F) {
 	seeds := []string{
 		`{"op":"optimize","capacity_bytes":128,"flavor":"hvt"}`,
@@ -185,28 +192,28 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatal("nil error with zero items")
 		}
 		for i, it := range items {
-			switch it.op {
-			case "optimize", "pareto":
-				if it.opt == nil || it.ev != nil {
-					t.Fatalf("item %d: op %q with wrong request population", i, it.op)
+			var again request
+			switch req := it.req.(type) {
+			case *OptimizeRequest:
+				if it.op != "optimize" && it.op != "pareto" {
+					t.Fatalf("item %d: op %q with an optimize request", i, it.op)
 				}
-				if it.opt.TimeoutMS != 0 {
+				if req.TimeoutMS != 0 {
 					t.Fatalf("item %d: per-item deadline survived decode", i)
 				}
-				req := *it.opt
-				if aerr := req.normalize(); aerr != nil || req.key(it.op) != it.key() {
-					t.Fatalf("item %d: key not stable under re-normalization (%v)", i, aerr)
+				cp := *req
+				again = &cp
+			case *EvaluateRequest:
+				if it.op != "evaluate" {
+					t.Fatalf("item %d: op %q with an evaluate request", i, it.op)
 				}
-			case "evaluate":
-				if it.ev == nil || it.opt != nil {
-					t.Fatalf("item %d: op %q with wrong request population", i, it.op)
-				}
-				req := *it.ev
-				if aerr := req.normalize(); aerr != nil || req.key() != it.key() {
-					t.Fatalf("item %d: key not stable under re-normalization (%v)", i, aerr)
-				}
+				cp := *req
+				again = &cp
 			default:
-				t.Fatalf("item %d: unexpected op %q", i, it.op)
+				t.Fatalf("item %d: op %q with request %T", i, it.op, it.req)
+			}
+			if aerr := again.normalize(); aerr != nil || again.key(it.op) != it.key() {
+				t.Fatalf("item %d: key not stable under re-normalization (%v)", i, aerr)
 			}
 		}
 	})

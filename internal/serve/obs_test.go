@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -326,4 +327,106 @@ func TestBatchItemsLandInSubEndpointSeries(t *testing.T) {
 	waitFor(t, "batch envelope in its own series", func() bool {
 		return redCount("/v1/batch", "ok")-envBefore == 1
 	})
+}
+
+// parseServerTiming splits a Server-Timing header into its metrics, each a
+// map of parameter name to value ("" for the bare metric name entry).
+func parseServerTiming(t *testing.T, h string) map[string]map[string]string {
+	t.Helper()
+	out := map[string]map[string]string{}
+	for _, entry := range strings.Split(h, ",") {
+		parts := strings.Split(strings.TrimSpace(entry), ";")
+		name := parts[0]
+		if name == "" {
+			t.Fatalf("Server-Timing %q has an unnamed entry", h)
+		}
+		params := map[string]string{}
+		for _, p := range parts[1:] {
+			k, v, ok := strings.Cut(p, "=")
+			if !ok {
+				t.Fatalf("Server-Timing %q: parameter %q without a value", h, p)
+			}
+			params[k] = strings.Trim(v, `"`)
+		}
+		out[name] = params
+	}
+	return out
+}
+
+// TestServerTiming checks the /v1 Server-Timing header: decode and key
+// durations always, the answering tier as desc, and a fill duration only
+// when the request went past the precomputed tiers. Batch and streaming
+// responses carry no header.
+func TestServerTiming(t *testing.T) {
+	s := New(framework(t), Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	check := func(what, hdr, tier string, wantFill bool) {
+		t.Helper()
+		if hdr == "" {
+			t.Fatalf("%s: no Server-Timing header", what)
+		}
+		st := parseServerTiming(t, hdr)
+		for _, stage := range []string{"decode", "key"} {
+			d, err := strconv.ParseFloat(st[stage]["dur"], 64)
+			if err != nil || d < 0 {
+				t.Errorf("%s: %s dur in %q not a non-negative ms value", what, stage, hdr)
+			}
+		}
+		if got := st["tier"]["desc"]; got != tier {
+			t.Errorf("%s: tier desc %q in %q, want %q", what, got, hdr, tier)
+		}
+		fill, ok := st["fill"]
+		if ok != wantFill {
+			t.Fatalf("%s: fill entry present=%t in %q, want %t", what, ok, hdr, wantFill)
+		}
+		if ok {
+			if d, err := strconv.ParseFloat(fill["dur"], 64); err != nil || d <= 0 {
+				t.Errorf("%s: fill dur in %q not a positive ms value", what, hdr)
+			}
+		}
+	}
+
+	body := `{"capacity_bytes":256,"flavor":"hvt"}`
+	code, hdr, _ := postJSON(t, ts.URL+"/v1/optimize", body)
+	if code != http.StatusOK {
+		t.Fatalf("miss: status %d", code)
+	}
+	check("miss", hdr.Get("Server-Timing"), "miss", true)
+	_, hdr, _ = postJSON(t, ts.URL+"/v1/optimize", body)
+	check("hit", hdr.Get("Server-Timing"), "hit", false)
+
+	cat, err := s.BuildCatalog(context.Background(), CatalogGrid{
+		CapacitiesBytes: []int{256},
+		Flavors:         []string{"hvt"},
+		Methods:         []string{"m2"},
+		Objectives:      []string{"edp"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetCatalog(cat)
+	_, hdr, _ = postJSON(t, ts.URL+"/v1/optimize", body)
+	if hdr.Get("X-Cache") != "catalog" {
+		t.Fatalf("catalog request answered by %q", hdr.Get("X-Cache"))
+	}
+	check("catalog hit", hdr.Get("Server-Timing"), "catalog", false)
+
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(`{"op":"optimize",`+body[1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if h := resp.Header.Get("Server-Timing"); h != "" {
+		t.Errorf("/v1/batch carries Server-Timing %q", h)
+	}
+	resp, err = http.Post(ts.URL+"/v1/yield?stream=1", "application/json", strings.NewReader(`{"flavor":"hvt","n":2,"metrics":["hsnm"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if h := resp.Header.Get("Server-Timing"); h != "" {
+		t.Errorf("/v1/yield?stream=1 carries Server-Timing %q", h)
+	}
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"net/http"
 	"strings"
 
@@ -55,6 +57,61 @@ func decodeJSON(r io.Reader, dst any) *apiError {
 	return nil
 }
 
+// request is a /v1 request body. normalize validates it and fills defaults
+// in place, so two requests meaning the same computation become the same
+// canonical request (and therefore the same cache key). key names the
+// canonical request's cache entry under an op. deadline is the caller's
+// timeout_ms, which normalize moves out of the canonical request: it shapes
+// how long a caller waits, not what is computed.
+type request interface {
+	normalize() *apiError
+	key(op string) string
+	deadline() int
+}
+
+// op is the one definition of a /v1 operation, shared by its endpoint, its
+// /v1/batch lines and the catalog builder. parse strict-decodes a request
+// through decode (a standalone body, or a batch line that also carries the
+// op tag) and normalizes it. fill computes the response for a canonical
+// request on a miss from that request alone, which is what makes cached
+// and catalog bodies bit-identical to a live fill.
+type op struct {
+	parse func(decode func(dst any) *apiError) (request, *apiError)
+	fill  func(s *Server, ctx context.Context, req request) (any, error)
+}
+
+var ops = map[string]op{
+	"optimize": opOf((*Server).optimizeResult),
+	"pareto":   opOf((*Server).paretoResult),
+	"evaluate": opOf((*Server).evaluateResult),
+	"yield":    opOf((*Server).yieldResult),
+}
+
+// opOf builds the op whose canonical request is an R.
+func opOf[R any, P interface {
+	*R
+	request
+}](fill func(*Server, context.Context, P) (any, error)) op {
+	return op{
+		parse: func(decode func(any) *apiError) (request, *apiError) {
+			req := P(new(R))
+			if aerr := decode(req); aerr != nil {
+				return nil, aerr
+			}
+			return req, req.normalize()
+		},
+		fill: func(s *Server, ctx context.Context, req request) (any, error) { return fill(s, ctx, req.(P)) },
+	}
+}
+
+// call is one canonical request of an op: what the read path resolves.
+type call struct {
+	op  string
+	req request
+}
+
+func (c call) key() string { return c.req.key(c.op) }
+
 // OptimizeRequest is the body of /v1/optimize and /v1/pareto.
 type OptimizeRequest struct {
 	CapacityBytes int    `json:"capacity_bytes"`
@@ -76,11 +133,14 @@ type OptimizeRequest struct {
 	W     int      `json:"w,omitempty"`     // access width in bits, default 64
 
 	TimeoutMS int `json:"timeout_ms,omitempty"` // per-request deadline; capped by the server's
+
+	// Set by normalize: the parsed names and the moved-out deadline.
+	flavor    sramco.Flavor
+	method    sramco.Method
+	objective sramco.Objective
+	wait      int
 }
 
-// normalize validates the request and fills defaults in place, so that two
-// requests meaning the same search canonicalize to the same struct (and
-// therefore the same cache key).
 func (r *OptimizeRequest) normalize() *apiError {
 	if r.CapacityBytes <= 0 {
 		return badRequest("capacity_bytes must be positive, got %d", r.CapacityBytes)
@@ -92,54 +152,29 @@ func (r *OptimizeRequest) normalize() *apiError {
 	if bits&(bits-1) != 0 {
 		return badRequest("capacity_bytes %d must make a power-of-two bit count", r.CapacityBytes)
 	}
-	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return badRequest("%v", err)
+	var aerr *apiError
+	if r.flavor, aerr = canonFlavor(&r.Flavor); aerr != nil {
+		return aerr
 	}
-	r.Flavor = strings.ToLower(flavor.String())
-	if r.Method == "" {
-		r.Method = "m2"
+	if r.method, aerr = canonMethod(&r.Method); aerr != nil {
+		return aerr
 	}
-	method, err := sramco.ParseMethod(r.Method)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	r.Method = strings.ToLower(method.String())
-	if _, ok := sramco.ObjectiveByName(r.Objective); !ok {
+	var ok bool
+	if r.objective, ok = sramco.ObjectiveByName(r.Objective); !ok {
 		return badRequest("unknown objective %q (want edp, delay, energy, area or padp)", r.Objective)
 	}
 	if r.Objective == "" {
 		r.Objective = "edp"
 	}
 	r.Objective = strings.ToLower(r.Objective)
-	if r.Groups < 0 {
-		return badRequest("groups must be non-negative, got %d", r.Groups)
+	if aerr := canonGroups(&r.Groups); aerr != nil {
+		return aerr
 	}
-	if r.Groups == 1 {
-		r.Groups = 0 // canonical "single flavor" spelling
+	if aerr := canonMux(&r.Mux); aerr != nil {
+		return aerr
 	}
-	if r.Groups > 1 {
-		if r.Groups > array.MaxGroups || r.Groups&(r.Groups-1) != 0 {
-			return badRequest("groups=%d must be a power of two ≤ %d", r.Groups, array.MaxGroups)
-		}
-	}
-	if r.Mux < 0 {
-		return badRequest("mux must be non-negative, got %d", r.Mux)
-	}
-	if r.Mux == 1 {
-		r.Mux = 0 // canonical "no sharing" spelling
-	}
-	if r.Mux > 1 && r.Mux&(r.Mux-1) != 0 {
-		return badRequest("mux=%d must be a power of two", r.Mux)
-	}
-	if r.Alpha == nil {
-		r.Alpha = ptr(0.5)
-	}
-	if r.Beta == nil {
-		r.Beta = ptr(0.5)
-	}
-	if *r.Alpha < 0 || *r.Alpha > 1 || *r.Beta < 0 || *r.Beta > 1 {
-		return badRequest("activity alpha=%g beta=%g must be within [0,1]", *r.Alpha, *r.Beta)
+	if aerr := canonActivity(&r.Alpha, &r.Beta); aerr != nil {
+		return aerr
 	}
 	if r.W == 0 {
 		r.W = 64
@@ -158,36 +193,24 @@ func (r *OptimizeRequest) normalize() *apiError {
 	if r.TimeoutMS < 0 {
 		return badRequest("timeout_ms must be non-negative, got %d", r.TimeoutMS)
 	}
+	r.wait, r.TimeoutMS = r.TimeoutMS, 0
 	return nil
 }
 
-// key returns the canonical cache key of a normalized request under the
-// given endpoint prefix. The per-request deadline is deliberately excluded:
-// it shapes how long a caller waits, not what is computed.
-func (r *OptimizeRequest) key(endpoint string) string {
+func (r *OptimizeRequest) key(op string) string {
 	return fmt.Sprintf("%s|cap=%d|flavor=%s|method=%s|obj=%s|dwl=%t|alpha=%g|beta=%g|w=%d|groups=%d|mux=%d",
-		endpoint, r.CapacityBytes, r.Flavor, r.Method, r.Objective, r.DWL, *r.Alpha, *r.Beta, r.W, r.Groups, r.Mux)
+		op, r.CapacityBytes, r.Flavor, r.Method, r.Objective, r.DWL, *r.Alpha, *r.Beta, r.W, r.Groups, r.Mux)
 }
 
+func (r *OptimizeRequest) deadline() int { return r.wait }
+
 // options maps a normalized request onto the search options.
-func (r *OptimizeRequest) options() (sramco.Options, error) {
-	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return sramco.Options{}, err
-	}
-	method, err := sramco.ParseMethod(r.Method)
-	if err != nil {
-		return sramco.Options{}, err
-	}
-	obj, ok := sramco.ObjectiveByName(r.Objective)
-	if !ok {
-		return sramco.Options{}, fmt.Errorf("serve: unknown objective %q", r.Objective)
-	}
+func (r *OptimizeRequest) options() sramco.Options {
 	o := sramco.Options{
 		CapacityBits: r.CapacityBytes * 8,
-		Flavor:       flavor,
-		Method:       method,
-		Objective:    obj,
+		Flavor:       r.flavor,
+		Method:       r.method,
+		Objective:    r.objective,
 		Activity:     sramco.Activity{Alpha: *r.Alpha, Beta: *r.Beta},
 		W:            r.W,
 		SearchWLSegs: r.DWL,
@@ -200,7 +223,7 @@ func (r *OptimizeRequest) options() (sramco.Options, error) {
 		sp.MuxMax = r.Mux
 		o.Space = sp
 	}
-	return o, nil
+	return o
 }
 
 // EvaluateRequest is the body of /v1/evaluate: one explicit design point.
@@ -230,27 +253,27 @@ type EvaluateRequest struct {
 
 	Alpha *float64 `json:"alpha,omitempty"`
 	Beta  *float64 `json:"beta,omitempty"`
+
+	// Set by normalize: the parsed names.
+	flavor sramco.Flavor
+	method sramco.Method
 }
 
 func (r *EvaluateRequest) normalize() *apiError {
-	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return badRequest("%v", err)
+	var aerr *apiError
+	if r.flavor, aerr = canonFlavor(&r.Flavor); aerr != nil {
+		return aerr
 	}
-	r.Flavor = strings.ToLower(flavor.String())
-	if r.Method == "" {
-		r.Method = "m2"
+	if r.method, aerr = canonMethod(&r.Method); aerr != nil {
+		return aerr
 	}
-	method, err := sramco.ParseMethod(r.Method)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	r.Method = strings.ToLower(method.String())
 	if r.NR <= 0 || r.NC <= 0 {
 		return badRequest("nr=%d nc=%d must be positive", r.NR, r.NC)
 	}
-	if r.NR*r.NC > maxCapacityBytes*8 {
-		return badRequest("nr·nc = %d bits exceeds the %d limit", r.NR*r.NC, maxCapacityBytes*8)
+	// Bound each dimension before multiplying: nr·nc can wrap past zero.
+	if capBits := maxCapacityBytes * 8; r.NR > capBits || r.NC > capBits || r.NR > capBits/r.NC {
+		bits := new(big.Int).Mul(big.NewInt(int64(r.NR)), big.NewInt(int64(r.NC)))
+		return badRequest("nr·nc = %d bits exceeds the %d limit", bits, capBits)
 	}
 	if r.W == 0 {
 		r.W = 64
@@ -261,26 +284,20 @@ func (r *EvaluateRequest) normalize() *apiError {
 	if r.WLSegs == 0 {
 		r.WLSegs = 1
 	}
-	if r.Mux == 1 {
-		r.Mux = 0 // canonical "no sharing" spelling
-	}
-	geom := wire.Geometry{NR: r.NR, NC: r.NC, W: r.W, Npre: r.Npre, Nwr: r.Nwr, WLSegs: r.WLSegs, Mux: r.Mux}
-	if err := geom.Validate(); err != nil {
+	if err := r.geom().Validate(); err != nil {
 		return badRequest("%v", err)
 	}
-	if r.Groups < 0 {
-		return badRequest("groups must be non-negative, got %d", r.Groups)
+	// Validate has rejected any other bad mux; this folds 1 onto 0.
+	if aerr := canonMux(&r.Mux); aerr != nil {
+		return aerr
 	}
-	if r.Groups == 1 {
-		r.Groups = 0 // canonical "single flavor" spelling
+	if aerr := canonGroups(&r.Groups); aerr != nil {
+		return aerr
 	}
 	if r.Groups == 0 && r.GroupMask != 0 {
 		return badRequest("group_mask=%#x requires groups", r.GroupMask)
 	}
 	if r.Groups > 1 {
-		if r.Groups > array.MaxGroups || r.Groups&(r.Groups-1) != 0 {
-			return badRequest("groups=%d must be a power of two ≤ %d", r.Groups, array.MaxGroups)
-		}
 		if r.NR%r.Groups != 0 {
 			return badRequest("groups=%d must divide nr=%d", r.Groups, r.NR)
 		}
@@ -291,38 +308,29 @@ func (r *EvaluateRequest) normalize() *apiError {
 	if r.VSSC > 0 {
 		return badRequest("vssc=%g must be ≤ 0", r.VSSC)
 	}
-	if r.Alpha == nil {
-		r.Alpha = ptr(0.5)
-	}
-	if r.Beta == nil {
-		r.Beta = ptr(0.5)
-	}
-	if *r.Alpha < 0 || *r.Alpha > 1 || *r.Beta < 0 || *r.Beta > 1 {
-		return badRequest("activity alpha=%g beta=%g must be within [0,1]", *r.Alpha, *r.Beta)
-	}
-	return nil
+	return canonActivity(&r.Alpha, &r.Beta)
 }
 
-func (r *EvaluateRequest) key() string {
-	return fmt.Sprintf("evaluate|flavor=%s|method=%s|geom=%dx%d:%d:%d:%d:%d|vddc=%s|vssc=%g|vwl=%s|alpha=%g|beta=%g|groups=%d|mask=%d|mux=%d",
-		r.Flavor, r.Method, r.NR, r.NC, r.W, r.Npre, r.Nwr, r.WLSegs,
+func (r *EvaluateRequest) key(op string) string {
+	return fmt.Sprintf("%s|flavor=%s|method=%s|geom=%dx%d:%d:%d:%d:%d|vddc=%s|vssc=%g|vwl=%s|alpha=%g|beta=%g|groups=%d|mask=%d|mux=%d",
+		op, r.Flavor, r.Method, r.NR, r.NC, r.W, r.Npre, r.Nwr, r.WLSegs,
 		optF(r.VDDC), r.VSSC, optF(r.VWL), *r.Alpha, *r.Beta, r.Groups, r.GroupMask, r.Mux)
+}
+
+// deadline is always the server cap: one model evaluation takes
+// microseconds, so the request carries no timeout_ms.
+func (r *EvaluateRequest) deadline() int { return 0 }
+
+func (r *EvaluateRequest) geom() wire.Geometry {
+	return wire.Geometry{NR: r.NR, NC: r.NC, W: r.W, Npre: r.Npre, Nwr: r.Nwr, WLSegs: r.WLSegs, Mux: r.Mux}
 }
 
 // design assembles the array design, pinning unspecified rails from the
 // framework's (flavor, method) characterization.
-func (r *EvaluateRequest) design(fw *sramco.Framework) (sramco.Flavor, sramco.Design, sramco.Activity, error) {
-	flavor, err := sramco.ParseFlavor(r.Flavor)
+func (r *EvaluateRequest) design(fw *sramco.Framework) (sramco.Design, error) {
+	vddc, vwl, err := fw.Rails(r.flavor, r.method)
 	if err != nil {
-		return 0, sramco.Design{}, sramco.Activity{}, err
-	}
-	method, err := sramco.ParseMethod(r.Method)
-	if err != nil {
-		return 0, sramco.Design{}, sramco.Activity{}, err
-	}
-	vddc, vwl, err := fw.Rails(flavor, method)
-	if err != nil {
-		return 0, sramco.Design{}, sramco.Activity{}, err
+		return sramco.Design{}, err
 	}
 	if r.VDDC != nil {
 		vddc = *r.VDDC
@@ -330,12 +338,11 @@ func (r *EvaluateRequest) design(fw *sramco.Framework) (sramco.Flavor, sramco.De
 	if r.VWL != nil {
 		vwl = *r.VWL
 	}
-	d := sramco.Design{
-		Geom: wire.Geometry{NR: r.NR, NC: r.NC, W: r.W, Npre: r.Npre, Nwr: r.Nwr, WLSegs: r.WLSegs, Mux: r.Mux},
+	return sramco.Design{
+		Geom: r.geom(),
 		VDDC: vddc, VSSC: r.VSSC, VWL: vwl,
 		Groups: r.Groups, GroupMask: r.GroupMask,
-	}
-	return flavor, d, sramco.Activity{Alpha: *r.Alpha, Beta: *r.Beta}, nil
+	}, nil
 }
 
 // YieldRequest is the body of /v1/yield: a Monte Carlo margin run. With
@@ -359,14 +366,19 @@ type YieldRequest struct {
 	RelCI float64 `json:"rel_ci,omitempty"`
 
 	TimeoutMS int `json:"timeout_ms,omitempty"`
+
+	// Set by normalize: the parsed names and the moved-out deadline.
+	flavor  sramco.Flavor
+	metrics mc.Metric
+	sampler sramco.MCSampler
+	wait    int
 }
 
 func (r *YieldRequest) normalize() *apiError {
-	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return badRequest("%v", err)
+	var aerr *apiError
+	if r.flavor, aerr = canonFlavor(&r.Flavor); aerr != nil {
+		return aerr
 	}
-	r.Flavor = strings.ToLower(flavor.String())
 	if r.N < 2 {
 		return badRequest("n must be ≥ 2 samples, got %d", r.N)
 	}
@@ -379,20 +391,19 @@ func (r *YieldRequest) normalize() *apiError {
 	if r.SigmaVt == 0 {
 		r.SigmaVt = mc.DefaultSigmaVt
 	}
-	metrics, err := mc.ParseMetrics(r.Metrics)
-	if err != nil {
+	var err error
+	if r.metrics, err = mc.ParseMetrics(r.Metrics); err != nil {
 		return badRequest("%v", err)
 	}
 	// Canonical metric order is fixed, independent of request order.
-	r.Metrics = metrics.Names()
+	r.Metrics = r.metrics.Names()
 	if r.Sampler == "" {
 		r.Sampler = "mc"
 	}
-	sampler, err := sramco.ParseMCSampler(strings.ToLower(r.Sampler))
-	if err != nil {
+	if r.sampler, err = sramco.ParseMCSampler(strings.ToLower(r.Sampler)); err != nil {
 		return badRequest("%v", err)
 	}
-	r.Sampler = sampler.String()
+	r.Sampler = r.sampler.String()
 	if r.Tilt == 1 {
 		r.Tilt = 0 // canonical "no tilt" spelling, so both hit one cache key
 	}
@@ -405,40 +416,99 @@ func (r *YieldRequest) normalize() *apiError {
 	if r.TimeoutMS < 0 {
 		return badRequest("timeout_ms must be non-negative, got %d", r.TimeoutMS)
 	}
+	r.wait, r.TimeoutMS = r.TimeoutMS, 0
 	return nil
 }
 
-func (r *YieldRequest) key() string {
-	return fmt.Sprintf("yield|flavor=%s|n=%d|seed=%d|sigma=%g|metrics=%s|sampler=%s|tilt=%g|relci=%g",
-		r.Flavor, r.N, r.Seed, r.SigmaVt, strings.Join(r.Metrics, ","), r.Sampler, r.Tilt, r.RelCI)
+func (r *YieldRequest) key(op string) string {
+	return fmt.Sprintf("%s|flavor=%s|n=%d|seed=%d|sigma=%g|metrics=%s|sampler=%s|tilt=%g|relci=%g",
+		op, r.Flavor, r.N, r.Seed, r.SigmaVt, strings.Join(r.Metrics, ","), r.Sampler, r.Tilt, r.RelCI)
 }
 
+func (r *YieldRequest) deadline() int { return r.wait }
+
 // config maps a normalized request onto the Monte Carlo configuration.
-func (r *YieldRequest) config() (sramco.MCStreamConfig, error) {
-	flavor, err := sramco.ParseFlavor(r.Flavor)
-	if err != nil {
-		return sramco.MCStreamConfig{}, err
-	}
-	metrics, err := mc.ParseMetrics(r.Metrics)
-	if err != nil {
-		return sramco.MCStreamConfig{}, err
-	}
-	sampler, err := sramco.ParseMCSampler(r.Sampler)
-	if err != nil {
-		return sramco.MCStreamConfig{}, err
-	}
+func (r *YieldRequest) config() sramco.MCStreamConfig {
 	return sramco.MCStreamConfig{
 		Config: sramco.MCConfig{
-			Flavor:  flavor,
+			Flavor:  r.flavor,
 			N:       r.N,
 			Seed:    r.Seed,
 			SigmaVt: r.SigmaVt,
-			Metrics: metrics,
-			Sampler: sampler,
+			Metrics: r.metrics,
+			Sampler: r.sampler,
 			Tilt:    r.Tilt,
 		},
 		RelCI: r.RelCI,
-	}, nil
+	}
+}
+
+// canonFlavor parses a flavor name and rewrites it in canonical case.
+func canonFlavor(name *string) (sramco.Flavor, *apiError) {
+	f, err := sramco.ParseFlavor(*name)
+	if err != nil {
+		return 0, badRequest("%v", err)
+	}
+	*name = strings.ToLower(f.String())
+	return f, nil
+}
+
+// canonMethod parses an assist-method name (default m2) and rewrites it in
+// canonical case.
+func canonMethod(name *string) (sramco.Method, *apiError) {
+	if *name == "" {
+		*name = "m2"
+	}
+	m, err := sramco.ParseMethod(*name)
+	if err != nil {
+		return 0, badRequest("%v", err)
+	}
+	*name = strings.ToLower(m.String())
+	return m, nil
+}
+
+// canonGroups validates a hybrid group count and folds the single-flavor
+// spelling 1 onto 0.
+func canonGroups(g *int) *apiError {
+	if *g < 0 {
+		return badRequest("groups must be non-negative, got %d", *g)
+	}
+	if *g == 1 {
+		*g = 0
+	}
+	if *g > array.MaxGroups || *g&(*g-1) != 0 {
+		return badRequest("groups=%d must be a power of two ≤ %d", *g, array.MaxGroups)
+	}
+	return nil
+}
+
+// canonMux validates a column-mux ratio and folds the no-sharing spelling
+// 1 onto 0.
+func canonMux(m *int) *apiError {
+	if *m < 0 {
+		return badRequest("mux must be non-negative, got %d", *m)
+	}
+	if *m == 1 {
+		*m = 0
+	}
+	if *m&(*m-1) != 0 {
+		return badRequest("mux=%d must be a power of two", *m)
+	}
+	return nil
+}
+
+// canonActivity fills the default activity factors and range-checks them.
+func canonActivity(alpha, beta **float64) *apiError {
+	if *alpha == nil {
+		*alpha = ptr(0.5)
+	}
+	if *beta == nil {
+		*beta = ptr(0.5)
+	}
+	if a, b := **alpha, **beta; a < 0 || a > 1 || b < 0 || b > 1 {
+		return badRequest("activity alpha=%g beta=%g must be within [0,1]", a, b)
+	}
+	return nil
 }
 
 func ptr[T any](v T) *T { return &v }

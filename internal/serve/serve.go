@@ -127,12 +127,10 @@ type Server struct {
 	handler http.Handler // mux wrapped in the observability middleware
 
 	// Test seams: the concurrency tests gate these to hold fills open.
-	// evalHook, when set, runs at the top of every shared-Evaluator batch
-	// eval so tests can hold an evaluate fill open past the batch deadline.
 	optimizeFn    func(context.Context, sramco.Options) (*sramco.Optimum, error)
 	paretoFn      func(context.Context, sramco.Options) (*sramco.ParetoResult, error)
+	evaluateFn    func(sramco.Flavor, sramco.Design, sramco.Activity) (*sramco.Result, error)
 	yieldStreamFn func(context.Context, sramco.MCStreamConfig, func(sramco.MCCheckpoint) error) (*sramco.MCStreamResult, error)
-	evalHook      func()
 }
 
 // New builds a Server over a characterized framework.
@@ -149,13 +147,13 @@ func New(fw *sramco.Framework, cfg Config) *Server {
 		baseCancel:    cancel,
 		optimizeFn:    fw.OptimizeWithContext,
 		paretoFn:      fw.ParetoSearchContext,
+		evaluateFn:    fw.Evaluate,
 		yieldStreamFn: sramco.MonteCarloYieldStream,
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("/v1/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("/v1/pareto", s.handlePareto)
-	s.mux.HandleFunc("/v1/yield", s.handleYield)
+	for name := range ops {
+		s.mux.HandleFunc("/v1/"+name, s.handleOp(name))
+	}
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -246,8 +244,8 @@ func (s *Server) effectiveTimeout(timeoutMS int) time.Duration {
 // result; the fill itself runs under the server's base context and compute
 // cap — a coalesced fill may outlive the client that started it, and a
 // client's short deadline must never poison the fill for patient waiters
-// (DESIGN.md §8).
-func (s *Server) respond(waitCtx context.Context, key string, fill func(ctx context.Context) (any, error)) (cached, string, error) {
+// (DESIGN.md §8). key is c.key(), which the caller computes (and times).
+func (s *Server) respond(waitCtx context.Context, key string, c call) (cached, string, error) {
 	if cat := s.cat.Load(); cat != nil {
 		if body, ok := cat.Lookup(key); ok {
 			mCatalogHit.Inc()
@@ -275,7 +273,7 @@ func (s *Server) respond(waitCtx context.Context, key string, fill func(ctx cont
 			return cached{}, err
 		}
 		defer s.release()
-		v, err := fill(runCtx)
+		v, err := ops[c.op].fill(s, runCtx, c.req)
 		if err != nil {
 			if errors.Is(err, sramco.ErrInfeasible) {
 				// Infeasibility is a deterministic property of the canonical
@@ -306,26 +304,71 @@ func (s *Server) respond(waitCtx context.Context, key string, fill func(ctx cont
 	return res, state, err
 }
 
-// serveCached is the shared request path of every single-item /v1/*
-// endpoint: admit, resolve through respond, write the result.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, timeoutMS int, fill func(ctx context.Context) (any, error)) {
-	mRequests.Inc()
-	release, err := s.admit()
-	if err != nil {
-		writeError(w, asAPIError(err))
-		return
-	}
-	defer release()
+// handleOp serves the endpoint of one /v1 op: decode and normalize through
+// the op, admit, resolve the canonical request through respond and write
+// the result with its Server-Timing. /v1/yield?stream=1 decodes the same
+// way but streams uncached.
+func (s *Server) handleOp(name string) http.HandlerFunc {
+	o := ops[name]
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		if r.Method != http.MethodPost {
+			writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST with a JSON body"})
+			return
+		}
+		req, aerr := o.parse(func(dst any) *apiError { return decodeJSON(r.Body, dst) })
+		if aerr != nil {
+			writeError(w, aerr)
+			return
+		}
+		if y, ok := req.(*YieldRequest); ok && r.URL.Query().Get("stream") == "1" {
+			s.handleYieldStream(w, r, y)
+			return
+		}
+		decoded := time.Now()
+		key := req.key(name)
+		keyed := time.Now()
 
-	waitCtx, cancelWait := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
-	defer cancelWait()
+		mRequests.Inc()
+		release, err := s.admit()
+		if err != nil {
+			writeError(w, asAPIError(err))
+			return
+		}
+		defer release()
+		waitCtx, cancelWait := context.WithTimeout(r.Context(), s.effectiveTimeout(req.deadline()))
+		defer cancelWait()
 
-	res, state, err := s.respond(waitCtx, key, fill)
-	if err != nil {
-		writeError(w, asAPIError(err))
-		return
+		res, state, err := s.respond(waitCtx, key, call{name, req})
+		w.Header()["Server-Timing"] = []string{serverTiming(decoded.Sub(start), keyed.Sub(decoded), keyed, state)}
+		if err != nil {
+			writeError(w, asAPIError(err))
+			return
+		}
+		writeCached(w, res, state)
 	}
-	writeCached(w, res, state)
+}
+
+// serverTiming renders the Server-Timing header of a /v1 answer: decode
+// (strict decode plus normalize) and key in ms, the tier that answered as
+// desc, and fill (the time on the read path since keyed) unless the
+// catalog or the LRU answered.
+func serverTiming(decode, key time.Duration, keyed time.Time, tier string) string {
+	var buf [96]byte
+	b := appendMS(append(buf[:0], "decode;dur="...), decode)
+	b = appendMS(append(b, ", key;dur="...), key)
+	b = append(append(b, ", tier;desc="...), tier...)
+	if tier != "catalog" && tier != "hit" {
+		b = appendMS(append(b, ", fill;dur="...), time.Since(keyed))
+	}
+	return string(b)
+}
+
+// appendMS appends d in milliseconds to microsecond precision.
+func appendMS(b []byte, d time.Duration) []byte {
+	us := d.Microseconds()
+	b = strconv.AppendInt(b, us/1000, 10)
+	return append(b, '.', byte('0'+us/100%10), byte('0'+us/10%10), byte('0'+us%10))
 }
 
 // OptimizeResponse is the body of a successful /v1/optimize call. Request
@@ -342,21 +385,15 @@ type OptimizeResponse struct {
 }
 
 // optimizeResult runs the design search for a canonical request and builds
-// the response value. Shared by the /v1/optimize handler, /v1/batch items
-// and the catalog builder, which guarantees catalog entries are built by
-// the exact code path a live miss would take.
-func (s *Server) optimizeResult(ctx context.Context, req OptimizeRequest) (any, error) {
-	opts, err := req.options()
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.optimizeFn(ctx, opts)
+// the response value.
+func (s *Server) optimizeResult(ctx context.Context, req *OptimizeRequest) (any, error) {
+	opt, err := s.optimizeFn(ctx, req.options())
 	if err != nil {
 		return nil, err
 	}
 	scrubStats(&opt.Stats)
 	return &OptimizeResponse{
-		Request: req,
+		Request: *req,
 		Design:  opt.Best.Design,
 		EDP:     opt.Best.Result.EDP,
 		DelayS:  opt.Best.Result.DArray,
@@ -364,22 +401,6 @@ func (s *Server) optimizeResult(ctx context.Context, req OptimizeRequest) (any, 
 		Result:  opt.Best.Result,
 		Stats:   opt.Stats,
 	}, nil
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if aerr := req.normalize(); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	timeoutMS := req.TimeoutMS
-	req.TimeoutMS = 0 // the deadline shapes the wait, not the computation
-	s.serveCached(w, r, req.key("optimize"), timeoutMS, func(ctx context.Context) (any, error) {
-		return s.optimizeResult(ctx, req)
-	})
 }
 
 // EvaluateResponse is the body of a successful /v1/evaluate call.
@@ -391,43 +412,21 @@ type EvaluateResponse struct {
 	Result  *sramco.Result  `json:"result"`
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if aerr := req.normalize(); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	s.serveCached(w, r, req.key(), 0, func(ctx context.Context) (any, error) {
-		return s.evaluateResult(req, nil)
-	})
-}
-
 // evaluateResult evaluates one explicit design point and builds the
-// response value. When ev is non-nil the point runs through the shared
-// prepared Evaluator instead of a fresh array.Evaluate — bit-identical by
-// the Evaluator contract (DESIGN.md §7), so /v1/batch and /v1/evaluate can
-// populate the same cache entries.
-func (s *Server) evaluateResult(req EvaluateRequest, ev *batchEvaluator) (any, error) {
-	flavor, design, act, err := req.design(s.fw)
+// response value.
+func (s *Server) evaluateResult(_ context.Context, req *EvaluateRequest) (any, error) {
+	design, err := req.design(s.fw)
 	if err != nil {
 		return nil, err
 	}
-	var res *sramco.Result
-	if ev != nil {
-		res, err = ev.eval(flavor, design, act)
-	} else {
-		res, err = s.fw.Evaluate(flavor, design, act)
-	}
+	res, err := s.evaluateFn(req.flavor, design, sramco.Activity{Alpha: *req.Alpha, Beta: *req.Beta})
 	if err != nil {
 		// The model rejects structurally invalid points with plain
 		// errors; surface them as client errors, not 500s.
 		return nil, badRequest("%v", err)
 	}
 	return &EvaluateResponse{
-		Request: req,
+		Request: *req,
 		EDP:     res.EDP,
 		DelayS:  res.DArray,
 		EnergyJ: res.EArray,
@@ -442,35 +441,14 @@ type ParetoResponse struct {
 	Stats   sramco.SearchStats   `json:"search_stats"`
 }
 
-func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if aerr := req.normalize(); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	timeoutMS := req.TimeoutMS
-	req.TimeoutMS = 0
-	s.serveCached(w, r, req.key("pareto"), timeoutMS, func(ctx context.Context) (any, error) {
-		return s.paretoResult(ctx, req)
-	})
-}
-
-// paretoResult sweeps the full frontier for a canonical request; shared by
-// the /v1/pareto handler, /v1/batch items and the catalog builder.
-func (s *Server) paretoResult(ctx context.Context, req OptimizeRequest) (any, error) {
-	opts, err := req.options()
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.paretoFn(ctx, opts)
+// paretoResult sweeps the full frontier for a canonical request.
+func (s *Server) paretoResult(ctx context.Context, req *OptimizeRequest) (any, error) {
+	res, err := s.paretoFn(ctx, req.options())
 	if err != nil {
 		return nil, err
 	}
 	scrubStats(&res.Stats)
-	return &ParetoResponse{Request: req, Front: res.Front, Stats: res.Stats}, nil
+	return &ParetoResponse{Request: *req, Front: res.Front, Stats: res.Stats}, nil
 }
 
 // scrubStats zeroes the environmental search-stats fields (wall-clock time,
@@ -508,42 +486,18 @@ type YieldResponse struct {
 	FailHi    *float64 `json:"fail_ci_hi,omitempty"`
 }
 
-func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
-	var req YieldRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if aerr := req.normalize(); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	if r.URL.Query().Get("stream") == "1" {
-		s.handleYieldStream(w, r, req)
-		return
-	}
-	timeoutMS := req.TimeoutMS
-	req.TimeoutMS = 0
-	s.serveCached(w, r, req.key(), timeoutMS, func(ctx context.Context) (any, error) {
-		return s.yieldResult(ctx, req)
-	})
-}
-
 // yieldResult fills a non-streaming /v1/yield request: one engine run with
 // no checkpoint sink, answered from its final checkpoint. Raw-value
 // summaries describe the drawn distribution; μ−3σ and the fail fraction
 // come from the weighted checkpoint estimators.
-func (s *Server) yieldResult(ctx context.Context, req YieldRequest) (any, error) {
-	cfg, err := req.config()
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.yieldStreamFn(ctx, cfg, nil)
+func (s *Server) yieldResult(ctx context.Context, req *YieldRequest) (any, error) {
+	res, err := s.yieldStreamFn(ctx, req.config(), nil)
 	if err != nil {
 		return nil, err
 	}
 	final := res.Final
 	resp := &YieldResponse{
-		Request:       req,
+		Request:       *req,
 		Samples:       final.Samples,
 		MuMinus3Sigma: map[string]float64{},
 		DeltaV:        final.Delta,
@@ -574,7 +528,7 @@ func (s *Server) yieldResult(ctx context.Context, req YieldRequest) (any, error)
 // deadline — so two identical streams emit identical lines but compute
 // independently. A mid-stream failure becomes a trailing {"error": ...}
 // line, since the 200 header is already on the wire.
-func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req YieldRequest) {
+func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req *YieldRequest) {
 	mRequests.Inc()
 	release, err := s.admit()
 	if err != nil {
@@ -583,9 +537,7 @@ func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req Y
 	}
 	defer release()
 
-	timeoutMS := req.TimeoutMS
-	req.TimeoutMS = 0
-	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
+	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(req.deadline()))
 	defer cancel()
 	if err := s.acquire(ctx); err != nil {
 		writeError(w, asAPIError(err))
@@ -593,17 +545,11 @@ func (s *Server) handleYieldStream(w http.ResponseWriter, r *http.Request, req Y
 	}
 	defer s.release()
 
-	cfg, err := req.config()
-	if err != nil {
-		writeError(w, badRequest("%v", err))
-		return
-	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	_, err = s.yieldStreamFn(ctx, cfg, func(cp sramco.MCCheckpoint) error {
+	_, err = s.yieldStreamFn(ctx, req.config(), func(cp sramco.MCCheckpoint) error {
 		if err := enc.Encode(cp); err != nil {
 			return err
 		}
@@ -666,20 +612,6 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if err := enc.Encode(s.cfg.Recorder.Traces(limit)); err != nil {
 		mErrors.Inc()
 	}
-}
-
-// decodePost enforces POST and strict-decodes the body into dst, writing
-// the error response itself when it returns false.
-func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Message: "use POST with a JSON body"})
-		return false
-	}
-	if aerr := decodeJSON(r.Body, dst); aerr != nil {
-		writeError(w, aerr)
-		return false
-	}
-	return true
 }
 
 // errorEnvelope is the structured body of every non-2xx response.

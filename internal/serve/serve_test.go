@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sramco"
+	"sramco/internal/catalog"
 	"sramco/internal/mc"
 	"sramco/internal/num"
 	"sramco/internal/obs"
@@ -141,6 +142,61 @@ func TestCanonicalizationSharesCacheEntries(t *testing.T) {
 	}
 	if got := d.delta("serve.cache.hit"); got != int64(len(bodies)-1) {
 		t.Errorf("cache hits = %d, want %d", got, len(bodies)-1)
+	}
+}
+
+// TestCanonicalKeysPinned pins the exact cache key of one canonical request
+// per op. Catalog files are looked up by these strings, so a catalog built
+// by an earlier release keeps hitting only while they stay byte-identical.
+// A catalog holding just the pinned keys proves the endpoint path computes
+// them (its answer is X-Cache: catalog), and the batch-line path is checked
+// against the same strings.
+func TestCanonicalKeysPinned(t *testing.T) {
+	pins := []struct {
+		op, body, key string
+	}{
+		{"optimize", `{"capacity_bytes":2048,"flavor":"LVT","method":"m1","objective":"PADP","dwl":true,"groups":4,"mux":4,"w":32,"timeout_ms":500}`,
+			"optimize|cap=2048|flavor=lvt|method=m1|obj=padp|dwl=true|alpha=0.5|beta=0.5|w=32|groups=4|mux=4"},
+		{"pareto", `{"capacity_bytes":1024,"flavor":"hvt"}`,
+			"pareto|cap=1024|flavor=hvt|method=m2|obj=edp|dwl=false|alpha=0.5|beta=0.5|w=64|groups=0|mux=0"},
+		{"evaluate", `{"flavor":"lvt","nr":64,"nc":128,"w":32,"npre":2,"nwr":3,"wl_segs":2,"mux":2,"groups":4,"group_mask":5,"vddc":0.55,"vssc":-0.1,"vwl":0.6,"alpha":0.25}`,
+			"evaluate|flavor=lvt|method=m2|geom=64x128:32:2:3:2|vddc=0.55|vssc=-0.1|vwl=0.6|alpha=0.25|beta=0.5|groups=4|mask=5|mux=2"},
+		{"yield", `{"flavor":"HVT","n":64,"seed":9,"metrics":["wm","hsnm"],"sampler":"Sobol","tilt":2,"rel_ci":0.1,"timeout_ms":100}`,
+			"yield|flavor=hvt|n=64|seed=9|sigma=0.025|metrics=hsnm,wm|sampler=sobol|tilt=2|relci=0.1"},
+	}
+	fw := framework(t)
+	s := New(fw, Config{})
+	bld := catalog.NewBuilder(fw.Fingerprint())
+	for _, p := range pins {
+		if err := bld.Add(p.key, []byte(`{"pinned":"`+p.op+`"}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetCatalog(cat)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, p := range pins {
+		code, hdr, body := postJSON(t, ts.URL+"/v1/"+p.op, p.body)
+		if code != http.StatusOK || hdr.Get("X-Cache") != "catalog" {
+			t.Errorf("/v1/%s: status %d X-Cache %q, want 200/catalog: the endpoint key is not %q", p.op, code, hdr.Get("X-Cache"), p.key)
+		} else if want := `{"pinned":"` + p.op + `"}`; string(body) != want {
+			t.Errorf("/v1/%s: body %s, want %s", p.op, body, want)
+		}
+		if p.op == "yield" {
+			continue // yield is not a batch op
+		}
+		items, aerr := decodeBatch(strings.NewReader(`{"op":"` + p.op + `",` + p.body[1:]))
+		if aerr != nil {
+			t.Fatalf("batch line for %s: %v", p.op, aerr)
+		}
+		if got := items[0].key(); got != p.key {
+			t.Errorf("batch %s key\n got %s\nwant %s", p.op, got, p.key)
+		}
 	}
 }
 
@@ -474,6 +530,8 @@ func TestRequestValidation(t *testing.T) {
 		{"negative timeout", "/v1/optimize", `{"capacity_bytes":128,"flavor":"hvt","timeout_ms":-1}`},
 		{"bad geometry", "/v1/evaluate", `{"flavor":"hvt","nr":65,"nc":16,"npre":4,"nwr":4}`},
 		{"positive vssc", "/v1/evaluate", `{"flavor":"hvt","nr":64,"nc":16,"npre":4,"nwr":4,"vssc":0.1}`},
+		{"nr nc product wraps", "/v1/evaluate", `{"flavor":"hvt","nr":4294967296,"nc":4294967296,"npre":1,"nwr":1}`},
+		{"nr nc product wraps unevenly", "/v1/evaluate", `{"flavor":"hvt","nr":2199023255552,"nc":8388608,"npre":1,"nwr":1}`},
 		{"yield n too small", "/v1/yield", `{"flavor":"hvt","n":1}`},
 		{"yield n too large", "/v1/yield", fmt.Sprintf(`{"flavor":"hvt","n":%d}`, maxYieldSamples+1)},
 		{"yield bad metric", "/v1/yield", `{"flavor":"hvt","n":16,"metrics":["snm"]}`},
