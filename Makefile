@@ -70,11 +70,13 @@ vet-obs:
 	$(GO) test -race ./internal/obs/...
 
 # bench runs every benchmark across the module and archives the machine-
-# readable log as BENCH_<date>.json for regression comparison.
+# readable log as BENCH_<date>.json for regression comparison. -p 1 runs one
+# package's benchmarks at a time, as bench-compare does, so packages do not
+# contend for the CPUs and inflate the baseline the gate compares against.
 bench:
-	$(GO) test -json -bench=. -benchmem -run='^$$'  -count=3 ./... | tee BENCH_$(BENCH_DATE).json
+	$(GO) test -p 1 -json -bench=. -benchmem -run='^$$'  -count=3 ./... | tee BENCH_$(BENCH_DATE).json
 
-# bench-compare re-runs the search hot-path benchmarks and fails if either
+# bench-compare re-runs the search hot-path and set-up benchmarks and fails if any
 # regressed by more than 10% against the most recent archived BENCH_<date>.json
 # baseline. The current log is written to a name the baseline glob cannot
 # match, so an aborted run never becomes tomorrow's baseline. Each benchmark
@@ -83,13 +85,14 @@ bench:
 BENCH_BASELINE = $(shell ls BENCH_2*.json 2>/dev/null | sort | tail -n 1)
 bench-compare:
 	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_<date>.json baseline; run 'make bench' first"; exit 1; }
-	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkExhaustiveSearch16KBPruned|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
+	$(GO) test -json -bench='^(BenchmarkExhaustiveSearch16KB|BenchmarkExhaustiveSearch16KBPruned|BenchmarkHybridSearch16KB|BenchmarkModelEvaluation|BenchmarkMonteCarloYieldBatched|BenchmarkNewFramework)$$' -benchmem -run='^$$'  -count=3 . > bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkServeOptimizeCached|BenchmarkServeOptimizeCatalogHit|BenchmarkBatch64)$$' -benchmem -run='^$$'  -count=3 ./internal/serve/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^BenchmarkCatalogLookup$$' -benchmem -run='^$$'  -count=3 ./internal/catalog/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) test -json -bench='^(BenchmarkEvalSweep|BenchmarkPrepare|BenchmarkPrepareHybrid)$$' -benchmem -run='^$$'  -count=3 ./internal/array/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
+	$(GO) test -json -bench='^BenchmarkWriteDelay$$' -benchmem -run='^$$'  -count=3 ./internal/cell/ >> bench_current.tmp.json || { rm -f bench_current.tmp.json; exit 1; }
 	$(GO) run ./cmd/benchcompare -baseline $(BENCH_BASELINE) -current bench_current.tmp.json \
 		BenchmarkExhaustiveSearch16KB BenchmarkExhaustiveSearch16KBPruned BenchmarkHybridSearch16KB BenchmarkModelEvaluation \
-		BenchmarkMonteCarloYieldBatched \
+		BenchmarkMonteCarloYieldBatched BenchmarkNewFramework BenchmarkWriteDelay \
 		BenchmarkServeOptimizeCached BenchmarkServeOptimizeCatalogHit BenchmarkBatch64 \
 		BenchmarkCatalogLookup BenchmarkEvalSweep BenchmarkPrepare BenchmarkPrepareHybrid; \
 		status=$$?; rm -f bench_current.tmp.json; exit $$status

@@ -12,6 +12,7 @@ import (
 	"sramco/internal/core"
 	"sramco/internal/device"
 	"sramco/internal/exp"
+	"sramco/internal/obs"
 )
 
 var (
@@ -571,4 +572,35 @@ func BenchmarkHybridSearch16KB(b *testing.B) {
 	b.ReportMetric(float64(stats.Evaluated), "model-evals")
 	b.ReportMetric(float64(stats.PrunedBound), "pruned-bound")
 	b.ReportMetric(stats.BoundEfficiency(), "bound-eff")
+}
+
+// benchSetUp times core.NewFramework in one calibration mode. Set-up
+// characterizes the cells and peripherals by circuit simulation before any
+// search can run; the reported tran-runs and tran-steps per set-up show how
+// much of that simulation each change spends.
+func benchSetUp(b *testing.B, mode core.Mode) {
+	reg := obs.Default()
+	runs0, steps0 := reg.CounterValue("circuit.tran.runs"), reg.CounterValue("circuit.tran.steps")
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewFramework(mode, core.FrameworkOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(reg.CounterValue("circuit.tran.runs")-runs0)/n, "tran-runs")
+	b.ReportMetric(float64(reg.CounterValue("circuit.tran.steps")-steps0)/n, "tran-steps")
+}
+
+// BenchmarkNewFramework measures paper-calibrated set-up: the peripheral
+// inverter and sense-amp characterization plus both flavors' write-delay
+// LUTs.
+func BenchmarkNewFramework(b *testing.B) { benchSetUp(b, core.TechPaper) }
+
+// BenchmarkNewFrameworkSimulated measures fully simulated set-up, which adds
+// the minimum-rail searches, leakage and the read-current and RSNM LUTs.
+func BenchmarkNewFrameworkSimulated(b *testing.B) {
+	if testing.Short() {
+		b.Skip("TechSimulated characterization skipped in -short mode")
+	}
+	benchSetUp(b, core.TechSimulated)
 }

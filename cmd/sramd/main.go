@@ -103,11 +103,14 @@ func main() {
 	obs.SetSink(sinks)
 	cliutil.OnExit(func() { obs.SetSink(nil) })
 
-	fmt.Fprintf(os.Stderr, "sramd: characterizing technology (%v mode)...\n", mode)
+	fmt.Fprintf(os.Stderr, "sramd: characterizing technology (%v mode)...", mode)
+	setupStart := time.Now()
 	fw, err := sramco.NewFramework(mode)
 	if err != nil {
+		fmt.Fprintln(os.Stderr)
 		cliutil.Fatalf("%v", err)
 	}
+	fmt.Fprintf(os.Stderr, " done in %v\n", time.Since(setupStart).Round(time.Millisecond))
 
 	cfg := serve.Config{
 		CacheSize: *cacheSize,

@@ -40,3 +40,16 @@ func BenchmarkWriteMargin(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWriteDelay measures one write-delay measurement at nominal bias:
+// a transient that stops right after the Q/QB crossing. It is one point of
+// the framework's write-delay LUT, 12 of which make up most of set-up.
+func BenchmarkWriteDelay(b *testing.B) {
+	c := New(device.HVT)
+	bias := NominalWrite(device.Vdd)
+	for i := 0; i < b.N; i++ {
+		if _, err := c.WriteDelay(bias); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

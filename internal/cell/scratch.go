@@ -19,6 +19,28 @@ const (
 	writeTripTolV    = 0.5e-3
 )
 
+// tripStop is a write-trip bisection stop rule: it reports whether halving
+// stops at the trip interval [lo, hi] reached after n halvings.
+type tripStop func(n int, lo, hi float64) bool
+
+// charStop is Cell.WriteMargin's rule: charTripHalvings halvings.
+func charStop(n int, lo, hi float64) bool { return n >= charTripHalvings || hi-lo <= 0 }
+
+// mcStop is the Monte Carlo rule: an interval writeTripTolV wide.
+func mcStop(n int, lo, hi float64) bool { return hi-lo <= writeTripTolV }
+
+// decideStop is the rail search's rule for the decision WM ≥ target at
+// wordline level vwl: it stops as soon as every trip left in [lo, hi] gives
+// the same decision, and otherwise where charStop does. The trip returned
+// lies in [lo, hi] and float subtraction is monotone, so vwl − trip ≥ target
+// holds exactly when it would after the full charStop bisection, whose
+// interval is nested in this one (DESIGN.md §6).
+func decideStop(vwl, target float64) tripStop {
+	return func(n int, lo, hi float64) bool {
+		return vwl-hi >= target || vwl-lo < target || charStop(n, lo, hi)
+	}
+}
+
 // Scratch is the cell evaluator: the Cell margin methods are a fresh Scratch,
 // and the Monte Carlo engine keeps one per worker. It builds each netlist
 // once and re-solves it under new ΔVt perturbations and rail biases via
@@ -176,23 +198,34 @@ func (s *Scratch) ReadSNM(dvt Variation, b ReadBias) (float64, error) {
 // WriteMargin returns the write margin of the perturbed cell under bias b,
 // bisecting the trip point down to writeTripTolV (see Cell.WriteMargin).
 func (s *Scratch) WriteMargin(dvt Variation, b WriteBias) (float64, error) {
-	return s.writeMargin(dvt, b, math.MaxInt, writeTripTolV)
+	return s.writeMargin(dvt, b, mcStop)
+}
+
+// meetsWriteMargin reports whether the write margin under b is at least
+// target, bisecting the trip only until the decision is fixed: the same
+// decision as Cell.WriteMargin(b) >= target with c.DVt = dvt, in fewer
+// probes.
+func (s *Scratch) meetsWriteMargin(dvt Variation, b WriteBias, target float64) (bool, error) {
+	wm, err := s.writeMargin(dvt, b, decideStop(b.VWL, target))
+	if err != nil {
+		return false, err
+	}
+	return wm >= target, nil
 }
 
 // writeMargin returns VWL minus the minimum wordline voltage that flips a
 // cell holding '1' on Q when BL is driven to b.VBL (writing a '0'). The trip
-// point is bisected on [0, VWL] until the interval has been halved
-// maxHalvings times or is no wider than tol. It returns ErrWriteFail when
-// the cell does not flip at full VWL.
+// point is bisected on [0, VWL] until the stop rule holds. It returns
+// ErrWriteFail when the cell does not flip at full VWL.
 //
 // Flip detection is transient (dynamic): the DC problem is singular exactly
 // at the trip fold, so each probe applies the wordline level to the cell
 // with its storage nodes loaded by their physical capacitances and checks
 // whether the state flips within a generous settling window.
-func (s *Scratch) writeMargin(dvt Variation, b WriteBias, maxHalvings int, tol float64) (float64, error) {
+func (s *Scratch) writeMargin(dvt Variation, b WriteBias, stop tripStop) (float64, error) {
 	sp := obs.StartSpan("cell.write_trip")
 	mWriteTrips.Inc()
-	trip, probes, err := s.writeTrip(dvt, b, maxHalvings, tol)
+	trip, probes, err := s.writeTrip(dvt, b, stop)
 	sp.Int("probes", int64(probes))
 	if err == nil {
 		sp.Float("trip", trip)
@@ -205,7 +238,7 @@ func (s *Scratch) writeMargin(dvt Variation, b WriteBias, maxHalvings int, tol f
 }
 
 // writeTrip is writeMargin's bisection; it also reports the probe count.
-func (s *Scratch) writeTrip(dvt Variation, b WriteBias, maxHalvings int, tol float64) (trip float64, probes int, err error) {
+func (s *Scratch) writeTrip(dvt Variation, b WriteBias, stop tripStop) (trip float64, probes int, err error) {
 	wr := s.wr
 	setHalfDVt(wr, 0, "Q", dvt)
 	setHalfDVt(wr, 1, "QB", dvt)
@@ -234,7 +267,7 @@ func (s *Scratch) writeTrip(dvt Variation, b WriteBias, maxHalvings int, tol flo
 	} else if !fh {
 		return 0, probes, fmt.Errorf("cell: write fails even at WL=%gV: %w", hi, ErrWriteFail)
 	}
-	for n := 0; n < maxHalvings && hi-lo > tol; n++ {
+	for n := 0; !stop(n, lo, hi); n++ {
 		mid := 0.5 * (lo + hi)
 		fm, err := flips(mid)
 		if err != nil {

@@ -25,13 +25,25 @@ func (c *Cell) WriteMargin(b WriteBias) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.writeMargin(c.DVt, b, charTripHalvings, 0)
+	return s.writeMargin(c.DVt, b, charStop)
 }
 
 // WriteDelay returns the cell-level write delay (s): the time from the
 // wordline reaching 50 % of Vdd until Q and QB cross, writing a '0' over a
 // stored '1' (paper §3.2 definition; ≈1.5 ps for 6T-HVT with no assist).
+// The transient stops right after the Q/QB crossing (DESIGN.md §6).
 func (c *Cell) WriteDelay(b WriteBias) (float64, error) {
+	ckt, opts, read := c.writeDelayBench(b)
+	d, err := ckt.Measure(opts, read)
+	if err != nil {
+		return 0, fmt.Errorf("cell: write delay: %w", err)
+	}
+	return d, nil
+}
+
+// writeDelayBench builds the write-delay testbench over a 60 ps window; its
+// reader takes the WL 50 % edge, then Q dropping below QB.
+func (c *Cell) writeDelayBench(b WriteBias) (*circuit.Circuit, circuit.TranOpts, func(*circuit.TranResult) (float64, error)) {
 	const (
 		tStart = 2e-12  // WL step start
 		tRise  = 1e-12  // WL rise time
@@ -42,49 +54,33 @@ func (c *Cell) WriteDelay(b WriteBias) (float64, error) {
 	ckt.SetV("vwl", circuit.Step(0, b.VWL, tStart, tRise))
 	ckt.SetIC("Q", b.Vdd)
 	ckt.SetIC("QB", 0)
-
-	res, err := ckt.Transient(circuit.TranOpts{TStop: tStop, DT: dt})
-	if err != nil {
-		return 0, fmt.Errorf("cell: write-delay transient: %w", err)
-	}
-	tWL, err := res.CrossTime("WL", 0.5*b.Vdd, circuit.RisingEdge, 0)
-	if err != nil {
-		return 0, fmt.Errorf("cell: WL never reached 50%%: %w", err)
-	}
-	tCross, err := crossEachOther(res, "Q", "QB", tWL)
-	if err != nil {
-		return 0, err
-	}
-	return tCross - tWL, nil
-}
-
-// crossEachOther returns the first time after tMin at which trace a drops
-// below trace b.
-func crossEachOther(res *circuit.TranResult, a, b string, tMin float64) (float64, error) {
-	va, vb := res.V(a), res.V(b)
-	for i := 1; i < len(va); i++ {
-		if res.Times[i] < tMin {
-			continue
+	read := func(res *circuit.TranResult) (float64, error) {
+		tWL, err := res.CrossTime("WL", 0.5*b.Vdd, circuit.RisingEdge, 0)
+		if err != nil {
+			return 0, err
 		}
-		d0 := va[i-1] - vb[i-1]
-		d1 := va[i] - vb[i]
-		if d0 > 0 && d1 <= 0 {
-			frac := d0 / (d0 - d1)
-			return res.Times[i-1] + frac*(res.Times[i]-res.Times[i-1]), nil
+		tCross, err := res.CrossBelow("Q", "QB", tWL)
+		if err != nil {
+			return 0, err
 		}
+		return tCross - tWL, nil
 	}
-	return 0, fmt.Errorf("cell: %s and %s never crossed (write did not complete)", a, b)
+	return ckt, circuit.TranOpts{TStop: tStop, DT: dt}, read
 }
 
 // MinVDDCForReadSNM returns the smallest VDDC (searched on a 10 mV grid like
 // the paper's rail granularity) at which the read SNM meets target, with the
 // other read-bias fields taken from b. It returns an error if even vMax
-// fails.
+// fails. One Scratch serves every probe of the search.
 func (c *Cell) MinVDDCForReadSNM(b ReadBias, target, vMax float64) (float64, error) {
+	s, err := NewScratch(c)
+	if err != nil {
+		return 0, err
+	}
 	meets := func(vddc float64) (bool, error) {
 		bb := b
 		bb.VDDC = vddc
-		snm, err := c.ReadSNM(bb)
+		snm, err := s.ReadSNM(c.DVt, bb)
 		if err != nil {
 			return false, err
 		}
@@ -94,16 +90,17 @@ func (c *Cell) MinVDDCForReadSNM(b ReadBias, target, vMax float64) (float64, err
 }
 
 // MinVWLForWriteMargin returns the smallest write-assist VWL (10 mV grid) at
-// which the write margin meets target.
+// which the write margin meets target. Each probe bisects the trip only
+// until WriteMargin(b) >= target is decided, on one Scratch for the search.
 func (c *Cell) MinVWLForWriteMargin(b WriteBias, target, vMax float64) (float64, error) {
+	s, err := NewScratch(c)
+	if err != nil {
+		return 0, err
+	}
 	meets := func(vwl float64) (bool, error) {
 		bb := b
 		bb.VWL = vwl
-		wm, err := c.WriteMargin(bb)
-		if err != nil {
-			return false, err
-		}
-		return wm >= target, nil
+		return s.meetsWriteMargin(c.DVt, bb, target)
 	}
 	return minRailSearch(meets, b.Vdd, vMax, "VWL")
 }

@@ -33,6 +33,7 @@ func TestTransientNoopInstrumentationAllocFree(t *testing.T) {
 		hTranDur.Observe(time.Since(start))
 		sp.Int("steps", 400)
 		sp.Int("halvings", 1)
+		sp.Int("stopped", 0)
 		sp.End()
 	})
 	if allocs != 0 {

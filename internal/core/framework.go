@@ -16,12 +16,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"sramco/internal/array"
 	"sramco/internal/cell"
 	"sramco/internal/device"
 	"sramco/internal/lut"
 	"sramco/internal/num"
+	"sramco/internal/obs"
 	"sramco/internal/periph"
 	"sramco/internal/wire"
 )
@@ -123,9 +125,24 @@ type FrameworkOpts struct {
 }
 
 // NewFramework characterizes the technology and both cell flavors under the
-// given mode. Construction runs circuit simulations and takes a few seconds
-// in TechSimulated mode.
+// given mode. Construction runs circuit simulations and takes about a second
+// in TechSimulated mode. It is traced as a core.framework span (attribute
+// mode) holding one core.framework.periph span and one core.framework.cell
+// span per flavor.
 func NewFramework(mode Mode, opts FrameworkOpts) (*Framework, error) {
+	start := time.Now()
+	sp := obs.StartSpan("core.framework")
+	sp.Str("mode", mode.String())
+	f, err := newFramework(mode, opts)
+	hFrameworkDur.Observe(time.Since(start))
+	if err != nil && sp.On() {
+		sp.Str("err", err.Error())
+	}
+	sp.End()
+	return f, err
+}
+
+func newFramework(mode Mode, opts FrameworkOpts) (*Framework, error) {
 	lib := device.Default7nm()
 	vdd := opts.Vdd
 	if vdd == 0 {
@@ -143,7 +160,9 @@ func NewFramework(mode Mode, opts FrameworkOpts) (*Framework, error) {
 	if dcdc == 0 {
 		dcdc = DefaultDCDC
 	}
+	psp := obs.StartSpan("core.framework.periph")
 	p, err := periph.Characterize(lib, periph.CharacterizeOpts{Vdd: vdd, DeltaV: dvs})
+	psp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: peripheral characterization: %w", err)
 	}
@@ -162,7 +181,10 @@ func NewFramework(mode Mode, opts FrameworkOpts) (*Framework, error) {
 		Accounting: opts.Accounting,
 	}
 	for _, flavor := range []device.Flavor{device.LVT, device.HVT} {
+		csp := obs.StartSpan("core.framework.cell")
+		csp.Str("flavor", flavor.String())
 		cc, err := f.characterizeCell(lib, flavor)
+		csp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: characterizing 6T-%v: %w", flavor, err)
 		}

@@ -13,4 +13,7 @@ var (
 	mSearchChunks    = obs.NewCounter("core.search.chunks_done")
 	gSearchChunks    = obs.NewGauge("core.search.chunks_total")
 	hChunkDur        = obs.NewHistogram("core.search.chunk_duration")
+
+	// hFrameworkDur is the wall time of each NewFramework set-up.
+	hFrameworkDur = obs.NewHistogram("core.framework.duration")
 )

@@ -99,8 +99,17 @@ func (t *Tech) unitInputCap() float64 {
 }
 
 // inverterDelay simulates a 1-fin LVT inverter driving h unit loads and
-// returns the average of the rising and falling 50%-to-50% delays.
+// returns the average of the rising and falling 50%-to-50% delays. The
+// transient stops right after the output's rising crossing, the last one
+// the answer reads.
 func (t *Tech) inverterDelay(h float64) (float64, error) {
+	ckt, opts, read := t.inverterBench(h)
+	return ckt.Measure(opts, read)
+}
+
+// inverterBench builds inverterDelay's testbench and the reader of its
+// answer: in rising, out falling, in falling, out rising.
+func (t *Tech) inverterBench(h float64) (*circuit.Circuit, circuit.TranOpts, func(*circuit.TranResult) (float64, error)) {
 	const (
 		tEdge = 20e-12
 		rise  = 1e-12
@@ -121,34 +130,35 @@ func (t *Tech) inverterDelay(h float64) (float64, error) {
 	// Load: h unit gate caps plus the inverter's own drain parasitics.
 	ckt.AddC("cload", "out", circuit.Ground, h*t.unitInputCap())
 	ckt.AddC("cpar", "out", circuit.Ground, t.Lib.NLVT.CdFin+t.Lib.PLVT.CdFin)
-	res, err := ckt.Transient(circuit.TranOpts{TStop: tStop, DT: dt})
-	if err != nil {
-		return 0, err
-	}
 	half := t.Vdd / 2
-	inRise, err := res.CrossTime("in", half, circuit.RisingEdge, 0)
-	if err != nil {
-		return 0, err
+	read := func(res *circuit.TranResult) (float64, error) {
+		inRise, err := res.CrossTime("in", half, circuit.RisingEdge, 0)
+		if err != nil {
+			return 0, err
+		}
+		outFall, err := res.CrossTime("out", half, circuit.FallingEdge, inRise)
+		if err != nil {
+			return 0, err
+		}
+		inFall, err := res.CrossTime("in", half, circuit.FallingEdge, outFall)
+		if err != nil {
+			return 0, err
+		}
+		outRise, err := res.CrossTime("out", half, circuit.RisingEdge, inFall)
+		if err != nil {
+			return 0, err
+		}
+		return ((outFall - inRise) + (outRise - inFall)) / 2, nil
 	}
-	outFall, err := res.CrossTime("out", half, circuit.FallingEdge, inRise)
-	if err != nil {
-		return 0, err
-	}
-	inFall, err := res.CrossTime("in", half, circuit.FallingEdge, outFall)
-	if err != nil {
-		return 0, err
-	}
-	outRise, err := res.CrossTime("out", half, circuit.RisingEdge, inFall)
-	if err != nil {
-		return 0, err
-	}
-	return ((outFall - inRise) + (outRise - inFall)) / 2, nil
+	return ckt, circuit.TranOpts{TStop: tStop, DT: dt}, read
 }
 
 // characterizeSenseAmp simulates a latch-type sense amplifier: a
 // cross-coupled inverter pair (2-fin devices) whose internal nodes start at
 // the precharge level split by ΔVs, enabled through a 2-fin footer. The
-// delay is the time for the low-going node to fall below 10% of Vdd.
+// delay is the time for the low-going node to fall below 10% of Vdd. Unlike
+// the inverter, it runs its full window: the check that the latch resolved
+// the right way reads sb's final sample (DESIGN.md §6).
 func (t *Tech) characterizeSenseAmp(deltaV float64) error {
 	const (
 		tEn   = 2e-12

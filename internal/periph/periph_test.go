@@ -177,3 +177,28 @@ func TestLog2(t *testing.T) {
 		}
 	}
 }
+
+// TestInverterDelayStopsExactly checks inverterDelay, which stops its
+// transient right after the output's rising crossing, against the full
+// 220 ps window at both characterization loads.
+func TestInverterDelayStopsExactly(t *testing.T) {
+	tc := tech(t)
+	for _, h := range []float64{1, 4} {
+		got, err := tc.inverterDelay(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckt, opts, read := tc.inverterBench(h)
+		res, err := ckt.Transient(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := read(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("h=%g: inverterDelay %v, full window %v", h, got, want)
+		}
+	}
+}
